@@ -156,7 +156,6 @@ class Cluster:
         self._next_node_id = 0
         self._inflight: List[_Inflight] = []
         self._trace = _TraceHash()
-        self._trace_records = 0
         self.node_deaths = 0
         for _ in range(nodes):
             self.add_node()
@@ -381,7 +380,6 @@ class Cluster:
         self._trace.update(
             f"{inflight.req.seq}:{inflight.req.key}:{inflight.node_id}:"
             f"{int(inflight.remote)}:{latency}:{int(ok)};".encode())
-        self._trace_records += 1
 
     # -- the event loop ------------------------------------------------
     def run(self, name: str, load: LoadGenerator, requests: int,
@@ -421,16 +419,3 @@ class Cluster:
         """Content hash over every harvested request record — two runs
         of the same seeded workload must agree byte-for-byte."""
         return self._trace.hexdigest()
-
-    def stats(self) -> dict:
-        return {
-            "nodes": {nid: node.stats()
-                      for nid, node in sorted(self.nodes.items())},
-            "wall_cycles": self.wall_cycles,
-            "rpc_messages": self.link.messages,
-            "rpc_bytes": self.link.bytes,
-            "partitions": sorted(self.link.partitions),
-            "node_deaths": self.node_deaths,
-            "trace_records": self._trace_records,
-            "trace_hash": self.trace_hash(),
-        }

@@ -188,32 +188,3 @@ class LoadGenerator:
             "seed": self.seed,
         }
 
-
-def fast_capacity_plan(requests: Sequence[Request],
-                       cost_per_request: int,
-                       workers: int = 1) -> dict:
-    """Opt-in fast stepping for capacity-sweep *planning*.
-
-    Runs the arrival stream through the table-driven fast core's
-    open-loop model (``repro.fastcore.batch``) with a flat per-request
-    service cost, and summarizes latency — cheap enough to scan a grid
-    of (workers, arrival rate) before committing the full fabric
-    simulation to the interesting corner.  Planning only: capacity
-    numbers that land in results.json still come from real
-    :meth:`~repro.cluster.fabric.Cluster.serve` runs.
-    """
-    from repro.fastcore.batch import open_loop_completions
-    arrivals = [r.arrival for r in requests]
-    costs = [cost_per_request] * len(arrivals)
-    completions, wall = open_loop_completions(arrivals, costs,
-                                              workers=workers)
-    latencies = sorted(c - a for c, a in zip(completions, arrivals))
-    if not latencies:
-        return {"requests": 0, "wall_cycles": 0, "p50": 0, "p99": 0}
-    return {
-        "requests": len(latencies),
-        "wall_cycles": wall,
-        "p50": latencies[len(latencies) // 2],
-        "p99": latencies[min(len(latencies) - 1,
-                             (len(latencies) * 99) // 100)],
-    }

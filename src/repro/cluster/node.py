@@ -164,18 +164,3 @@ class Node:
     def live_pools(self) -> List[WorkerPool]:
         """The pools still in service (retired slots skipped)."""
         return [pool for pool in self.pools if pool is not None]
-
-    def stats(self) -> dict:
-        return {
-            "node": self.name,
-            "alive": self.alive,
-            "wall_cycles": self.now,
-            "rpc_in": self.rpc_in,
-            "rpc_out": self.rpc_out,
-            "pools": {name: {
-                "active_workers": self.pools[sid].active_workers,
-                "submitted": self.pools[sid].submitted,
-                "completed": self.pools[sid].completed,
-                "scale_events": self.pools[sid].scale_events,
-            } for name, sid in sorted(self._sids.items())},
-        }

@@ -10,9 +10,9 @@ This package is the other half of the bargain: the *same* cycle
 semantics, precomputed.  A :class:`~repro.fastcore.tables.CycleTable`
 folds one ``CycleParams`` and one hardware configuration into flat
 per-path cycle sums (xcall, xret, AS switch, trampoline, seg-create,
-repair, ...), ``__slots__`` record structs replace the object graph,
-and :mod:`repro.fastcore.batch` vectorizes open-loop sweeps (numpy
-when available, pure Python otherwise).
+repair, ...), and ``__slots__`` record structs replace the object
+graph.  The executor that drives them is
+:class:`repro.proptest.fastexec.FastCoreExecutor`.
 
 The contract is *strict equivalence*, not approximation: the proptest
 differential harness runs the fast core as a tenth executor and
@@ -27,9 +27,6 @@ both directions), so reference and fast core cannot accidentally
 share implementation — only the differential gate ties them together.
 """
 
-from repro.fastcore.batch import (HAS_NUMPY, call_sweep_cycles,
-                                  open_loop_completions)
-from repro.fastcore.hwmodel import FastEngineCache, FastTLB
 from repro.fastcore.structs import (FastCoreShim, FastService, KernelShim,
                                     MachineShim, SchedulerShim, TLBShim)
 from repro.fastcore.tables import CycleTable, cycle_table
@@ -37,15 +34,10 @@ from repro.fastcore.tables import CycleTable, cycle_table
 __all__ = [
     "CycleTable",
     "FastCoreShim",
-    "FastEngineCache",
     "FastService",
-    "FastTLB",
-    "HAS_NUMPY",
     "KernelShim",
     "MachineShim",
     "SchedulerShim",
     "TLBShim",
-    "call_sweep_cycles",
     "cycle_table",
-    "open_loop_completions",
 ]

@@ -216,11 +216,12 @@ LINK_SCAN_PER_RECORD = 4
 
 #: The engine's architectural xcall floor (cap bit test + pipeline
 #: redirect).  Deliberately *not* a CycleParams field: Figure 5 pins it
-#: at 6 cycles as a property of the pipeline, and the engine hardcodes
-#: the same literal — the fast core's tables must match it even under
-#: randomized CycleParams (the Hypothesis table-staleness property).
+#: at 6 cycles as a property of the pipeline, so it stays fixed even
+#: under randomized CycleParams (the Hypothesis table-staleness
+#: property).  XPCEngine.xcall and the fast core's CycleTable both
+#: charge this constant.
 XCALL_CAPTEST_FLOOR = 6
 
-#: ``csrw seg-mask`` — one CSR write, charged as a literal 1 by the
-#: engine (see XPCEngine.write_seg_mask).
+#: ``csrw seg-mask`` — one CSR write, charged by
+#: XPCEngine.write_seg_mask and the fast core's CycleTable.
 SEG_MASK_WRITE = 1

@@ -18,8 +18,8 @@ internals:
   (FS, database) at install time.
 
 Everything else must stay on the node's serving surface
-(``pool()`` / ``serve()`` / ``retire()`` / ``frontend_core`` / ``now``
-/ ``stats()``) or go through :func:`repro.cluster.rpc.remote_submit`.
+(``pool()`` / ``serve()`` / ``retire()`` / ``frontend_core`` / ``now``)
+or go through :func:`repro.cluster.rpc.remote_submit`.
 ``# verify-ok: cluster-discipline`` suppresses a sanctioned site.
 """
 

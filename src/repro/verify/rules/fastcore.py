@@ -27,8 +27,9 @@ from typing import Iterator
 from repro.verify.lint import LintViolation, ModuleInfo, Rule
 
 #: Reference-side units that may never import repro.fastcore.  The
-#: consumers that *may* (proptest's fastexec executor, benchmarks via
-#: tests, aio/cluster's opt-in sweep helpers) are simply not listed.
+#: consumers that *may* (proptest's fastexec executor, and benchmarks
+#: and tests, which sit outside the package) are simply not listed;
+#: any other unit is held off by the layering map.
 REFERENCE_UNITS = frozenset({
     "hw", "xpc", "kernel", "runtime", "ipc", "sel4", "zircon", "binder",
 })

@@ -2,8 +2,9 @@
 
 The fast/reference diff is only evidence while the implementations are
 independent; this suite proves the rule fires on both forbidden edges
-(reference → fastcore and fastcore → anything-but-params) and stays
-quiet on the sanctioned consumers.
+(reference → fastcore and fastcore → anything-but-params), stays quiet
+on the sanctioned consumer, and that the layering map keeps every
+other unit off the fast core.
 """
 
 import pathlib
@@ -11,6 +12,7 @@ import textwrap
 
 from repro.verify import lint_source
 from repro.verify.rules.fastcore import FastcoreDisciplineRule
+from repro.verify.rules.layering import LayeringRule
 
 
 def lint(source, modname):
@@ -59,12 +61,19 @@ class TestFastcoreDisciplineRule:
     def test_fastcore_may_import_params_and_itself(self):
         assert lint("from repro.params import DEFAULT_PARAMS\n"
                     "from repro.fastcore.tables import CycleTable\n",
-                    "repro.fastcore.batch") == []
+                    "repro.fastcore.structs") == []
 
     def test_sanctioned_consumers_are_not_in_scope(self):
-        for unit in ("proptest.fastexec", "aio.pool",
-                     "cluster.loadgen"):
-            assert lint(REFERENCE_BUG, f"repro.{unit}") == [], unit
+        assert lint(REFERENCE_BUG, "repro.proptest.fastexec") == []
+
+    def test_layering_keeps_aio_and_cluster_off_fastcore(self):
+        """Outside the reference units, the layering map alone decides
+        who may use the fast core; aio and cluster may not."""
+        for unit in ("aio.pool", "cluster.loadgen"):
+            violations = lint_source(textwrap.dedent(REFERENCE_BUG),
+                                     f"repro.{unit}", [LayeringRule()])
+            assert [v.rule for v in violations] == ["layering"], unit
+            assert "fastcore" in violations[0].message
 
     def test_type_checking_imports_are_exempt(self):
         assert lint(

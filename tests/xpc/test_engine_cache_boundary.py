@@ -1,25 +1,20 @@
-"""Boundary suite pinning XPCEngineCache and FastEngineCache together.
+"""Boundary suite for the XPC engine cache's contract.
 
-The reference cache (``repro.xpc.engine_cache``) and the fast core's
-mirror (``repro.fastcore.hwmodel.FastEngineCache``) share no code, so
-these tests are the contract: identical hit/miss/evict/flush behavior
-over a real :class:`XEntryTable`, identical counters, and — because the
-cache's whole purpose is the 12-cycle x-entry load it saves — the
-measured xcall cycle charge with and without it must differ by exactly
+Hit/miss/evict/flush behavior of :class:`XPCEngineCache` over a real
+:class:`XEntryTable`, with its counters, and — because the cache's
+whole purpose is the 12-cycle x-entry load it saves — the measured
+xcall cycle charge with and without it must differ by exactly
 ``xentry_load``, on both the engine and the fast-core tables.
 """
 
 import pytest
 
 from repro.fastcore import cycle_table
-from repro.fastcore.hwmodel import FastEngineCache
 from repro.hw.memory import PhysicalMemory
 from repro.hw.paging import AddressSpace
 from repro.params import DEFAULT_PARAMS
 from repro.xpc.engine_cache import XPCEngineCache
 from repro.xpc.entry import XEntryTable
-
-IMPLS = [XPCEngineCache, FastEngineCache]
 
 
 @pytest.fixture
@@ -36,18 +31,13 @@ def handler(*args):
     return "handled"
 
 
-def _pair(table, **kwargs):
-    return XPCEngineCache(table, **kwargs), FastEngineCache(table, **kwargs)
-
-
 def _counters(cache):
     return (cache.hits, cache.misses)
 
 
-@pytest.mark.parametrize("cls", IMPLS)
-def test_miss_then_prefetch_then_hit(cls, table, aspace):
+def test_miss_then_prefetch_then_hit(table, aspace):
     entry = table.register(aspace, handler, None)
-    cache = cls(table)
+    cache = XPCEngineCache(table)
     assert cache.lookup(entry.entry_id) is None
     assert _counters(cache) == (0, 1)
     cache.prefetch(entry.entry_id)
@@ -55,13 +45,12 @@ def test_miss_then_prefetch_then_hit(cls, table, aspace):
     assert _counters(cache) == (1, 1)
 
 
-@pytest.mark.parametrize("cls", IMPLS)
-def test_conflict_prefetch_replaces_line(cls, table, aspace):
+def test_conflict_prefetch_replaces_line(table, aspace):
     """With one line, every id maps to it: a second prefetch evicts the
     first, and the displaced id misses again."""
     first = table.register(aspace, handler, None)
     second = table.register(aspace, handler, None)
-    cache = cls(table, entries=1)
+    cache = XPCEngineCache(table, entries=1)
     cache.prefetch(first.entry_id)
     cache.prefetch(second.entry_id)
     assert cache.lookup(second.entry_id) is second
@@ -69,14 +58,13 @@ def test_conflict_prefetch_replaces_line(cls, table, aspace):
     assert _counters(cache) == (1, 1)
 
 
-@pytest.mark.parametrize("cls", IMPLS)
-def test_evict_is_id_precise(cls, table, aspace):
+def test_evict_is_id_precise(table, aspace):
     """Evicting an id the line does not hold is a no-op — the kernel's
     shootdown after a table update must not collateral-evict whatever
     replaced the target."""
     cached = table.register(aspace, handler, None)
     other = table.register(aspace, handler, None)
-    cache = cls(table, entries=1)
+    cache = XPCEngineCache(table, entries=1)
     cache.prefetch(cached.entry_id)
     cache.evict(other.entry_id)              # different id: no-op
     assert cache.lookup(cached.entry_id) is cached
@@ -84,25 +72,23 @@ def test_evict_is_id_precise(cls, table, aspace):
     assert cache.lookup(cached.entry_id) is None
 
 
-@pytest.mark.parametrize("cls", IMPLS)
-def test_invalidated_entry_misses(cls, table, aspace):
+def test_invalidated_entry_misses(table, aspace):
     """A cached x-entry whose table slot was removed goes stale: the
     lookup sees ``valid == False`` and counts a miss (the engine then
     falls back to a checked table load, which traps)."""
     entry = table.register(aspace, handler, None)
-    cache = cls(table)
+    cache = XPCEngineCache(table)
     cache.prefetch(entry.entry_id)
     table.remove(entry.entry_id)
     assert cache.lookup(entry.entry_id) is None
     assert _counters(cache) == (0, 1)
 
 
-@pytest.mark.parametrize("cls", IMPLS)
-def test_tagged_lines_are_thread_private(cls, table, aspace):
+def test_tagged_lines_are_thread_private(table, aspace):
     """Tagged mode (§6.1): a line prefetched by thread A is invisible
     to thread B — the timing side channel is closed."""
     entry = table.register(aspace, handler, None)
-    cache = cls(table, tagged=True)
+    cache = XPCEngineCache(table, tagged=True)
     thread_a, thread_b = object(), object()
     cache.prefetch(entry.entry_id, thread=thread_a)
     assert cache.lookup(entry.entry_id, thread=thread_b) is None
@@ -110,40 +96,14 @@ def test_tagged_lines_are_thread_private(cls, table, aspace):
     assert _counters(cache) == (1, 1)
 
 
-@pytest.mark.parametrize("cls", IMPLS)
-def test_flush_clears_every_line(cls, table, aspace):
+def test_flush_clears_every_line(table, aspace):
     entries = [table.register(aspace, handler, None) for _ in range(3)]
-    cache = cls(table, entries=4)
+    cache = XPCEngineCache(table, entries=4)
     for entry in entries:
         cache.prefetch(entry.entry_id)
     cache.flush()
     for entry in entries:
         assert cache.lookup(entry.entry_id) is None
-
-
-def test_trace_equivalence(table, aspace):
-    """One interleaved prefetch/lookup/evict/flush trace, two caches:
-    results and counters agree on every step."""
-    ids = [table.register(aspace, handler, None).entry_id
-           for _ in range(4)]
-    ref, fast = _pair(table, entries=2)
-    trace = [("lookup", ids[0]), ("prefetch", ids[0]),
-             ("lookup", ids[0]), ("prefetch", ids[2]),
-             ("lookup", ids[0]), ("lookup", ids[2]),
-             ("evict", ids[2]), ("lookup", ids[2]),
-             ("prefetch", ids[1]), ("prefetch", ids[3]),
-             ("flush",), ("lookup", ids[1]), ("lookup", ids[3])]
-    for cache in (ref, fast):
-        for op in trace:
-            if op[0] == "lookup":
-                cache.lookup(op[1])
-            elif op[0] == "prefetch":
-                cache.prefetch(op[1])
-            elif op[0] == "evict":
-                cache.evict(op[1])
-            else:
-                cache.flush()
-    assert _counters(ref) == _counters(fast)
 
 
 def test_hit_saves_exactly_the_xentry_load():
