@@ -58,7 +58,6 @@ class Core:
         self.xpc_engine: Optional["XPCEngine"] = None
         self.current_thread = None
         self.trap_count = 0
-        self.tracer = None          # optional repro.analysis.trace.Tracer
 
     # ------------------------------------------------------------------
     # Cycle accounting
@@ -88,8 +87,6 @@ class Core:
         if aspace is self.aspace:
             return
         self.aspace = aspace
-        if self.tracer is not None:
-            self.tracer.emit(self, "as-switch", aspace.name)
         if self.tlb.tagged:
             if charge:
                 self.tick(self.params.asid_switch)
@@ -184,8 +181,6 @@ class Core:
         """Enter supervisor mode, charging the trap cost (Table 1)."""
         self.trap_count += 1
         self.mode = PrivilegeMode.SUPERVISOR
-        if self.tracer is not None:
-            self.tracer.emit(self, "trap", cause.value)
         if obs.ACTIVE is not None:
             obs.ACTIVE.pmu.add(self, f"traps.{cause.value}")
         self.tick(self.params.trap_enter)
@@ -194,5 +189,3 @@ class Core:
         """Return to user mode, charging the restore cost (Table 1)."""
         self.mode = PrivilegeMode.USER
         self.tick(self.params.trap_restore)
-        if self.tracer is not None:
-            self.tracer.emit(self, "trap-ret")

@@ -9,7 +9,8 @@ One :class:`ObsSession` bundles the three measurement surfaces:
   histograms keyed on the simulated cycle clock, fed by the kernel,
   the XPC runtime, the transports, and the servers;
 * :class:`~repro.obs.span.SpanTracer` — causally-nested spans along the
-  xcall chain, exportable as Chrome ``trace_event`` JSON (Perfetto).
+  xcall chain, exportable as Chrome ``trace_event`` JSON (Perfetto);
+  spans are the one timeline view of a run.
 
 Usage pattern at an instrumented site (null-sink default: the disarmed
 cost is a single global attribute check, mirroring ``repro.faults``):
@@ -37,7 +38,6 @@ from contextlib import contextmanager
 from typing import Optional
 
 import repro.faults as faults
-from repro.analysis.trace import TraceEvent, Tracer
 from repro.obs.pmu import PMU, PMUSnapshot
 from repro.obs.profiler import (CycleProfiler, ProfileNode,
                                 diff_collapsed)
@@ -48,8 +48,8 @@ from repro.obs.span import Span, SpanTracer
 __all__ = [
     "ACTIVE", "Counter", "CycleProfiler", "Gauge", "Histogram",
     "MetricsRegistry", "ObsSession", "PMU", "PMUSnapshot",
-    "ProfileNode", "Span", "SpanTracer", "TraceEvent", "Tracer",
-    "active", "diff_collapsed", "install", "prof_frame", "uninstall",
+    "ProfileNode", "Span", "SpanTracer", "active", "diff_collapsed",
+    "install", "prof_frame", "uninstall",
 ]
 
 #: The installed session, or None.  Instrumented hot paths check this
@@ -58,18 +58,13 @@ ACTIVE: Optional["ObsSession"] = None
 
 
 class ObsSession:
-    """One run's worth of observability state.
-
-    ``legacy`` optionally wires a :class:`repro.analysis.trace.Tracer`
-    in as the span tracer's point-event sink (the pre-span view).
-    """
+    """One run's worth of observability state."""
 
     def __init__(self, span_capacity: int = 100_000,
-                 legacy: Optional[Tracer] = None,
                  profile: bool = False) -> None:
         self.registry = MetricsRegistry()
         self.pmu = PMU()
-        self.spans = SpanTracer(capacity=span_capacity, legacy=legacy)
+        self.spans = SpanTracer(capacity=span_capacity)
         #: Cycle-attribution profiler, or None (the default: profiling
         #: off adds nothing beyond the existing ACTIVE check).
         self.profiler: Optional[CycleProfiler] = (
@@ -103,7 +98,6 @@ class ObsSession:
         the full Chrome trace (what ``python -m repro.obs`` renders)."""
         from repro.obs.report import aggregate_spans
         snapshot = self.pmu.snapshot()
-        legacy = self.spans.legacy
         artifact = {
             "title": title,
             "metrics": self.registry.as_dict(),
@@ -112,9 +106,7 @@ class ObsSession:
             "spans": {"finished": len(self.spans),
                       "dropped": self.spans.dropped,
                       "truncated": self.spans.truncated_total,
-                      "repaired": self.spans.repaired_total,
-                      "legacy_dropped": (legacy.dropped
-                                         if legacy is not None else 0)},
+                      "repaired": self.spans.repaired_total},
             "trace_events": self.spans.chrome_events(pid=title),
         }
         if self.profiler is not None:

@@ -97,15 +97,12 @@ def render_report(artifact: dict, top: int = 20) -> str:
               f"{spans.get('dropped', 0)} dropped, "
               f"{spans.get('truncated', 0)} truncated, "
               f"{spans.get('repaired', 0)} repaired")
-    loss = (spans.get("dropped", 0)
-            + spans.get("legacy_dropped", 0))
+    loss = spans.get("dropped", 0)
     if loss:
         # Data loss is a report headline, not a buried field: a ring
         # that overflowed means the hot-path table under-counts.
-        header += (f"\nWARNING: {loss} events lost "
-                   f"({spans.get('dropped', 0)} spans past ring "
-                   f"capacity, {spans.get('legacy_dropped', 0)} legacy "
-                   f"trace events) — raise REPRO_OBS_SPANS")
+        header += (f"\nWARNING: {loss} spans lost past ring capacity "
+                   f"— raise REPRO_OBS_SPANS")
     sections = [header]
     profile = artifact.get("profile")
     if profile:

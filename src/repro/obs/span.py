@@ -13,9 +13,9 @@ instants for fault injections), loadable directly in Perfetto or
 ``chrome://tracing``; timestamps are simulated cycles rendered as
 microseconds.
 
-The finished-span store is a ring buffer with the same retain-newest
-semantics as :class:`repro.analysis.trace.Tracer` (the legacy event
-sink, which a span tracer can feed for the old point-event view).
+The finished-span store is a ring buffer that retains the newest
+spans (what you want when something goes wrong at the end of a long
+run) and counts the evictions in ``dropped``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from typing import Dict, List, Optional
-
-from repro.analysis.trace import Tracer as LegacyTracer
 
 DEFAULT_SPAN_CAPACITY = 100_000
 
@@ -73,16 +71,9 @@ class Span:
 
 
 class SpanTracer:
-    """Per-core nested span recorder with a bounded finished-span ring.
+    """Per-core nested span recorder with a bounded finished-span ring."""
 
-    ``legacy`` is an optional :class:`repro.analysis.trace.Tracer`: every
-    span begin/end is forwarded to it as the old point-event stream, so
-    code written against the legacy sink keeps working under span
-    tracing.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_SPAN_CAPACITY,
-                 legacy: Optional[LegacyTracer] = None) -> None:
+    def __init__(self, capacity: int = DEFAULT_SPAN_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("span capacity must be positive")
         self.capacity = capacity
@@ -94,7 +85,6 @@ class SpanTracer:
         #: Spans closed by the kernel's §4.2 repair path rather than a
         #: matching ``xret``.
         self.repaired_total = 0
-        self.legacy = legacy
         #: Optional :class:`repro.obs.profiler.CycleProfiler` bridge —
         #: every span begin/end also pushes/pops an attribution frame,
         #: so span instrumentation shapes the flame tree for free.
@@ -130,8 +120,6 @@ class SpanTracer:
         if self.profiler is not None:
             self.profiler.push(core, f"{cat}:{name}",
                                span_id=span.span_id)
-        if self.legacy is not None:
-            self.legacy.emit(core, "span-begin", f"{cat}:{name}")
         return span
 
     def end(self, core, span: Optional[Span] = None, **args) -> Optional[Span]:
@@ -170,8 +158,6 @@ class SpanTracer:
                 if (self.current is None
                         or open_span.span_id > self.current.span_id):
                     self.current = open_span
-        if self.legacy is not None:
-            self.legacy.emit(core, "span-end", f"{span.cat}:{span.name}")
         return span
 
     def _finish(self, span: Span) -> None:

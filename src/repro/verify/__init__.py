@@ -20,8 +20,8 @@ complementary static-analysis passes:
   call/ret/swapseg/grant/revoke interleavings) against the *real*
   :class:`repro.xpc.engine.XPCEngine`, asserting the protocol invariants
   in :mod:`repro.verify.invariants` and reporting any violation with the
-  minimal event sequence that produced it (replayable through
-  :mod:`repro.analysis.trace`).
+  minimal event sequence that produced it, replayed one line per event
+  with the acting core's cycle stamp and engine registers.
 
 Run standalone with ``python -m repro.verify`` (or the ``repro-lint``
 console script); both passes are also wired into pytest under

@@ -19,8 +19,10 @@ After every event the live world is compared against an independently
 maintained *shadow model* using the invariants in
 :mod:`repro.verify.invariants`.  Because the search is BFS, the first
 violation found is reached by a **minimal** event sequence; the
-counterexample report replays it with a :class:`repro.analysis.trace.Tracer`
-attached so the offending timeline is visible event by event.
+counterexample report replays it and prints one line per event — the
+acting core's cycle stamp and its engine's XPC registers afterwards —
+so the offending timeline is visible event by event without relying on
+the code under test to report what it did.
 
 States are revisited by replaying their witness path against a fresh
 world (the simulator has no snapshot/undo), which keeps the checker
@@ -33,7 +35,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.trace import Tracer
 from repro.hw.machine import Machine
 from repro.kernel.kernel import BaseKernel
 from repro.params import DEFAULT_PARAMS
@@ -167,7 +168,7 @@ class CounterExample:
                   for i, op in enumerate(self.path)]
         lines += [f"  -> {v}" for v in self.violations]
         if self.trace_text:
-            lines.append("replay trace (repro.analysis.trace):")
+            lines.append("replay trace:")
             lines += ["  | " + line
                       for line in self.trace_text.splitlines()]
         return "\n".join(lines)
@@ -234,14 +235,11 @@ class ModelChecker:
             cfg.world_mutator(world)
         return world, Shadow(world)
 
-    def replay(self, path: Sequence[Op],
-               trace: bool = False) -> Tuple[World, Shadow,
-                                             Optional[Tracer]]:
+    def replay(self, path: Sequence[Op]) -> Tuple[World, Shadow]:
         world, shadow = self.build_world()
-        tracer = Tracer().attach(world.machine) if trace else None
         for op in path:
             self.apply_op(world, shadow, op)
-        return world, shadow, tracer
+        return world, shadow
 
     # ------------------------------------------------------------------
     # Event application + transition invariants
@@ -386,7 +384,7 @@ class ModelChecker:
             for op in ops:
                 if not self._enabled(depths, op):
                     continue
-                world, shadow, _ = self.replay(path)
+                world, shadow = self.replay(path)
                 violations = self.apply_op(world, shadow, op)
                 result.transitions += 1
                 if violations:
@@ -409,5 +407,18 @@ class ModelChecker:
         return result
 
     def _trace_of(self, path: Tuple[Op, ...]) -> str:
-        _, _, tracer = self.replay(path, trace=True)
-        return tracer.to_text(limit=80) if tracer is not None else ""
+        """Replay *path* on a fresh world, one line per event: the
+        acting core's cycle stamp, the event, and its engine's link
+        depth, call chain and segment window after the event."""
+        world, shadow = self.build_world()
+        lines = []
+        for op in path:
+            self.apply_op(world, shadow, op)
+            core = world.cores[op[1]]
+            regs = world.engines[op[1]].introspect()
+            lines.append(
+                f"[{core.cycles:>10}] core{core.core_id} {op_str(op)}: "
+                f"depth={regs.get('link_depth')} "
+                f"chain={regs.get('call_chain')} "
+                f"seg={regs.get('seg_window')}")
+        return "\n".join(lines)

@@ -79,7 +79,7 @@ ALLOWED_IMPORTS = {
     "compare": {"params"},
     "tools": {"analysis", "params", "obs"},
     "verify": {"runtime", "kernel", "xpc", "hw", "params", "faults",
-               "analysis", "obs"},
+               "obs"},
     # Differential fuzzing drives every mechanism (and the analytic
     # model) from above, so it sits at the top of the stack alongside
     # apps; nothing may import *it*.

@@ -123,7 +123,6 @@ class XPCEngine:
         #: xcall-cap-reg value, set by hardware, unforgeable.
         self.caller_id_reg: Optional[XCallCapBitmap] = None
         self.stats = XPCEngineStats()
-        self.tracer = None          # optional repro.analysis.trace.Tracer
         core.xpc_engine = self
 
     # ------------------------------------------------------------------
@@ -198,8 +197,6 @@ class XPCEngine:
         state.seg_reg = incoming
         state.seg_mask = NO_MASK
         self.stats.swapsegs += 1
-        if self.tracer is not None:
-            self.tracer.emit(self.core, "swapseg", f"slot={index}")
         self.core.tick(self.params.swapseg)
 
     # ------------------------------------------------------------------
@@ -302,10 +299,6 @@ class XPCEngine:
         self.core.set_address_space(entry.aspace)
         entry.invocations += 1
         self.stats.xcalls += 1
-        if self.tracer is not None:
-            self.tracer.emit(self.core, "xcall",
-                             f"entry={entry_id} "
-                             f"seg={passed_seg.length if passed_seg.valid else 0}B")
         if obs.ACTIVE is not None:
             # The span covers the callee's execution window; the record
             # carries it so the matching xret — or the kernel's §4.2
@@ -369,9 +362,6 @@ class XPCEngine:
                                via="xret")
         self.core.set_address_space(record.caller_aspace)
         self.stats.xrets += 1
-        if self.tracer is not None:
-            self.tracer.emit(self.core, "xret",
-                             f"entry={record.callee_entry_id}")
         if obs.ACTIVE is not None and record.obs_span is not None:
             obs.ACTIVE.spans.end(self.core, record.obs_span)
             record.obs_span = None

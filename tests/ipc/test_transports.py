@@ -8,6 +8,7 @@ paper reports.
 
 import pytest
 
+from repro.ipc.xpc_transport import XPCTransport
 from tests.conftest import (
     TRANSPORT_SPECS, build_transport, make_server, register_echo,
 )
@@ -22,6 +23,21 @@ class TestFunctional:
                                      reply_capacity=len(blob))
         assert meta == ("ok", "tag", 7)
         assert reply == blob
+
+    def test_warm_call_trap_count(self, any_transport):
+        """The paper's headline claim: an XPC call never enters the
+        kernel, while every baseline traps at least on request and
+        reply."""
+        machine, kernel, transport, ct = any_transport
+        sid = register_echo(kernel, transport)
+        transport.call(sid, (), b"warm")
+        before = machine.core0.trap_count
+        transport.call(sid, (), b"x")
+        traps = machine.core0.trap_count - before
+        if isinstance(transport, XPCTransport):
+            assert traps == 0
+        else:
+            assert traps >= 2
 
     def test_empty_payload(self, any_transport):
         machine, kernel, transport, ct = any_transport

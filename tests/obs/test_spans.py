@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.analysis.trace import Tracer
 from repro.obs.span import Span, SpanTracer
 
 
@@ -126,17 +125,6 @@ def test_chrome_json_is_loadable():
     doc = json.loads(tracer.chrome_json())
     assert set(doc) == {"traceEvents", "displayTimeUnit"}
     assert doc["traceEvents"][0]["name"] == "a"
-
-
-def test_legacy_tracer_sees_span_begin_end_events():
-    legacy = Tracer()
-    tracer = SpanTracer(legacy=legacy)
-    core = FakeCore()
-    span = tracer.begin(core, "call:fs", cat="transport")
-    tracer.end(core, span)
-    kinds = [e.kind for e in legacy.events]
-    assert kinds == ["span-begin", "span-end"]
-    assert "transport:call:fs" in legacy.events[0].detail
 
 
 def test_find_and_len():

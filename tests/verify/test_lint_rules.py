@@ -34,6 +34,13 @@ class TestLayeringRule:
             "repro.hw.machine", LayeringRule())
         assert violations and violations[0].rule == "layering"
 
+    def test_verify_may_not_import_analysis(self):
+        violations = lint(
+            "from repro.analysis import render_table\n",
+            "repro.verify.model", LayeringRule())
+        assert len(violations) == 1
+        assert "repro.analysis" in violations[0].message
+
     def test_xpc_may_import_hw(self):
         violations = lint(
             "from repro.hw.cpu import Core\n",

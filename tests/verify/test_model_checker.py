@@ -32,8 +32,6 @@ def leaky_swapseg_mutator(world):
             window.segment.active_owner = self.current_thread
             state.seg_reg = window
         state.seg_mask = NO_MASK
-        if self.tracer is not None:
-            self.tracer.emit(self.core, "swapseg", f"slot={index}")
         self.core.tick(self.params.swapseg)
 
     for engine in world.machine.engines:
@@ -77,16 +75,24 @@ class TestReplayDeterminism:
     def test_same_path_same_fingerprint(self):
         checker = ModelChecker(SMALL)
         path = (("swapseg", 0, 0),)
-        w1, s1, _ = checker.replay(path)
-        w2, s2, _ = checker.replay(path)
+        w1, s1 = checker.replay(path)
+        w2, s2 = checker.replay(path)
         assert (checker.fingerprint(w1, s1)
                 == checker.fingerprint(w2, s2))
 
     def test_replay_with_trace_yields_events(self):
         checker = ModelChecker(SMALL)
-        _, _, tracer = checker.replay((("swapseg", 0, 0),), trace=True)
-        assert tracer is not None
-        assert [e.kind for e in tracer.events].count("swapseg") == 1
+        path = (("xcall", 0, 0), ("swapseg", 0, 0))
+        lines = checker._trace_of(path).splitlines()
+        assert len(lines) == len(path)
+        for line, op in zip(lines, path):
+            assert op_str(op) in line
+        last = {}
+        for line in lines:
+            stamp, rest = line[1:].split("]", 1)
+            core, cycles = rest.split()[0], int(stamp)
+            assert cycles >= last.get(core, 0)
+            last[core] = cycles
 
 
 class TestSeededBugs:
@@ -108,7 +114,7 @@ class TestSeededBugs:
         assert "single-owner" in report
         for i in range(1, len(ce.path) + 1):
             assert f"{i}." in report      # numbered event sequence
-        # The replay trace (repro.analysis.trace) is embedded.
+        # The checker's own per-event replay is embedded.
         assert "swapseg" in ce.trace_text
 
     def test_lifo_bug_is_caught(self):
