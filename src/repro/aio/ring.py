@@ -9,9 +9,15 @@ changing the ISA semantics.  A single relay segment carries:
 ``| header | SQE ring       | CQE ring       | payload arena      |``
 ``+--------+----------------+----------------+--------------------+``
 
-* The **header** holds the geometry and the four ring indices
-  (``sq_head``/``sq_tail``/``cq_head``/``cq_tail``) as real bytes in
-  simulated physical memory.  Indices are *monotonic* (never wrap); a
+* The **header** holds the geometry and the index block as real bytes
+  in simulated physical memory.  The index block is six u32s at byte 24
+  (``sq_head``/``sq_tail``/``cq_head``/``cq_tail``, the arena cursor and
+  the next sequence number).  Each ring operation reads the whole block
+  once, computes the new indices locally and writes the block back once,
+  only when it succeeds: a refused push leaves the header as it found
+  it.  No index is cached in Python between operations, because the
+  client ring and the worker's :meth:`XPCRing.attach` view are separate
+  objects over the same bytes.  Indices are *monotonic* (never wrap); a
   record's slot is ``index % entries``.  ``head <= tail`` is therefore a
   memory-checkable invariant (see :func:`repro.verify.check_ring_invariants`).
 * **SQEs** are fixed 32-byte records pointing at arena-resident meta and
@@ -20,6 +26,11 @@ changing the ISA semantics.  A single relay segment carries:
   zero-copy convention as the synchronous transport.
 * The **arena** is a bump allocator, reset by the client between batch
   rounds once every completion has been harvested.
+* **Metas** are stored as ``repr(tuple(meta))`` in UTF-8.  The byte
+  length sets arena offsets and fill cycles, so the encoding never
+  changes.  :func:`decode_meta` parses it directly: tuples of ``str``,
+  ``bytes``, ``int``, ``float``, ``bool`` and ``None``, in the ``repr``
+  spelling of each.
 
 TOCTTOU safety comes for free from relay-seg ownership (§3.3/§6.1):
 the client fills SQEs while it owns the segment, the single ``xcall``
@@ -34,9 +45,10 @@ message production.
 
 from __future__ import annotations
 
-import ast
+import codecs
+import re
 import struct
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 import repro.faults as faults
 import repro.obs as obs
@@ -50,6 +62,11 @@ from repro.xpc.relayseg import RelaySegment, SegReg
 #:   sq_head, sq_tail, cq_head, cq_tail, arena_cur, next_seq
 _HDR = struct.Struct("<12I")
 HDR_BYTES = 64
+#: The index block: the last six header fields, read and written whole.
+_IDX = struct.Struct("<6I")
+_IDX_OFF = 24
+_IDX_FIELDS = ("sq_head", "sq_tail", "cq_head", "cq_tail",
+               "arena_cursor", "next_seq")
 MAGIC = 0x58504352  # "XPCR"
 
 _SQE = struct.Struct("<6I")   # seq, meta_off, meta_len, data_off, slot_len, data_len
@@ -99,8 +116,96 @@ def encode_meta(meta: tuple) -> bytes:
     return repr(tuple(meta)).encode("utf-8")
 
 
+#: One token of a meta's ``repr``: a parenthesis, a separator (``,``
+#: with at most one space, as ``repr`` writes it), a quoted ``str`` or
+#: ``bytes`` literal, a number, or ``True``/``False``/``None``.  String
+#: bodies admit no raw newline, CR or NUL, and an escape takes one ASCII
+#: character (the escape itself is decoded by the codec below).
+_TOKEN = re.compile(r"""
+    [()] | ,\x20?
+  | b?'[^'\\\n\r\x00]*(?:\\[\x01-\x0c\x0e-\x7f][^'\\\n\r\x00]*)*'
+  | -?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?
+  | b?"[^"\\\n\r\x00]*(?:\\[\x01-\x0c\x0e-\x7f][^"\\\n\r\x00]*)*"
+  | True | False | None
+""", re.VERBOSE)
+_NAMES = {"True": True, "False": False, "None": None}
+#: CPython's parser refuses more nested parentheses than this.
+_MAX_DEPTH = 200
+
+
+def _scalar(tok: str):
+    first = tok[0]
+    if first == "'" or first == '"':
+        body = tok[1:-1]
+        if "\\" in body:
+            # unicode_escape (the decoder of Python's own string literals)
+            # reads Latin-1 bytes: backslashreplace spells any wider
+            # character as an escape it decodes back.  _TOKEN keeps the
+            # character after each backslash ASCII, so no escape splits.
+            return codecs.decode(body.encode("latin-1", "backslashreplace"),
+                                 "unicode_escape")
+        return body
+    if first == "b":
+        raw = tok[2:-1].encode("ascii")
+        return codecs.escape_decode(raw)[0] if b"\\" in raw else raw
+    if tok in _NAMES:
+        return _NAMES[tok]
+    # A separator in a value's place fails int() below.
+    if "." in tok or "e" in tok or "E" in tok:
+        return float(tok)
+    value = int(tok)
+    if value and tok.lstrip("-").startswith("0"):
+        raise ValueError(f"leading zeros in integer literal {tok!r}")
+    return value
+
+
+def _group(tokens: List[str], i: int, depth: int) -> Tuple[object, int]:
+    """Parse from just after a ``(`` to just after its ``)``.
+
+    ``(x)`` is *x* itself, as in Python; a comma makes a tuple."""
+    if depth > _MAX_DEPTH:
+        raise ValueError("too many nested parentheses")
+    if tokens[i] == ")":
+        return (), i + 1
+    items = []
+    while True:
+        tok = tokens[i]
+        if tok == "(":
+            value, i = _group(tokens, i + 1, depth + 1)
+        else:
+            value = _scalar(tok)
+            i += 1
+        items.append(value)
+        tok = tokens[i]
+        if tok == ")":
+            return (tuple(items) if len(items) > 1 else value), i + 1
+        if tok[0] != ",":
+            raise ValueError(f"expected ',' or ')', got {tok!r}")
+        i += 1
+        if tokens[i] == ")":
+            return tuple(items), i + 1
+
+
 def decode_meta(data: bytes) -> tuple:
-    return tuple(ast.literal_eval(data.decode("utf-8")))
+    """Parse :func:`encode_meta`'s bytes back into the meta tuple.
+
+    The result equals ``ast.literal_eval`` on the same text.  Input
+    outside the ``repr`` grammar raises :class:`ValueError` and never
+    returns a value: trailing bytes, ``inf``/``nan``, other spellings
+    (hex, underscores, string prefixes other than ``b``, extra
+    whitespace) and a top level that is not a tuple."""
+    text = data.decode("utf-8")
+    tokens = _TOKEN.findall(text)
+    # findall skips what no token matches: the tokens must spell the text.
+    if "".join(tokens) != text or not tokens or tokens[0] != "(":
+        raise ValueError(f"malformed meta {text!r}")
+    try:
+        meta, end = _group(tokens, 1, 1)
+    except IndexError:
+        raise ValueError(f"unterminated meta {text!r}") from None
+    if end != len(tokens) or type(meta) is not tuple:
+        raise ValueError(f"malformed meta {text!r}")
+    return meta
 
 
 def _align8(n: int) -> int:
@@ -175,53 +280,51 @@ class XPCRing:
         ring._arena_off, ring._arena_len = hdr[4], hdr[5]
         return ring
 
-    # -- raw index access (memory-resident) ----------------------------
-    def _load(self, field: int) -> int:
-        off = 24 + 4 * field
-        return struct.unpack("<I", self._mem.read(self.pa_base + off, 4))[0]
+    # -- the index block (memory-resident) -----------------------------
+    def _read_index(self) -> Tuple[int, int, int, int, int, int]:
+        """The six indices, in :data:`_IDX_FIELDS` order, read at once."""
+        return _IDX.unpack(self._mem.read(self.pa_base + _IDX_OFF, _IDX.size))
 
-    def _store(self, field: int, value: int) -> None:
-        off = 24 + 4 * field
-        self._mem.write(self.pa_base + off, struct.pack("<I", value))
+    def _write_index(self, sq_head: int, sq_tail: int, cq_head: int,
+                     cq_tail: int, arena_cursor: int, next_seq: int) -> None:
+        self._mem.write(self.pa_base + _IDX_OFF, _IDX.pack(
+            sq_head, sq_tail, cq_head, cq_tail, arena_cursor, next_seq))
 
     @property
     def sq_head(self) -> int:
-        return self._load(0)
+        return self._read_index()[0]
 
     @property
     def sq_tail(self) -> int:
-        return self._load(1)
+        return self._read_index()[1]
 
     @property
     def cq_head(self) -> int:
-        return self._load(2)
+        return self._read_index()[2]
 
     @property
     def cq_tail(self) -> int:
-        return self._load(3)
+        return self._read_index()[3]
 
     @property
     def arena_cursor(self) -> int:
-        return self._load(4)
+        return self._read_index()[4]
 
     @property
     def next_seq(self) -> int:
-        return self._load(5)
+        return self._read_index()[5]
 
     def peek_indices(self) -> dict:
         """Uncharged snapshot of the memory-resident indices (for
         observers and invariant checkers — never moves the clock)."""
-        return {
-            "sq_head": self.sq_head, "sq_tail": self.sq_tail,
-            "cq_head": self.cq_head, "cq_tail": self.cq_tail,
-            "arena_cursor": self.arena_cursor, "next_seq": self.next_seq,
-        }
+        return dict(zip(_IDX_FIELDS, self._read_index()))
 
     # -- capacity ------------------------------------------------------
     @property
     def outstanding(self) -> int:
         """Requests admitted but not yet harvested (SQ fill + CQ fill)."""
-        return self.sq_tail - self.cq_head
+        idx = self._read_index()
+        return idx[1] - idx[2]
 
     def space(self) -> int:
         """SQEs that can still be pushed before the ring refuses.
@@ -232,16 +335,17 @@ class XPCRing:
         return self.entries - self.outstanding
 
     # -- arena ---------------------------------------------------------
-    def _arena_alloc(self, nbytes: int) -> int:
-        cur = self.arena_cursor
+    def _arena_alloc(self, cursor: int, nbytes: int) -> int:
+        """The arena cursor after taking *nbytes* at *cursor*; the
+        caller commits it with the rest of the index block."""
         need = _align8(nbytes)
-        if cur + need > self._arena_off + self._arena_len:
+        end = self._arena_off + self._arena_len
+        if cursor + need > end:
             raise XPCRingFullError(
                 self.name,
                 f"payload arena exhausted ({need} bytes wanted, "
-                f"{self._arena_off + self._arena_len - cur} free)")
-        self._store(4, cur + need)
-        return cur
+                f"{end - cursor} free)")
+        return cursor + need
 
     # -- submission side (client owns the segment) ---------------------
     def push_sqe(self, core: Core, meta: tuple, payload: bytes = b"",
@@ -251,47 +355,51 @@ class XPCRing:
         Raises :class:`XPCRingFullError` when the ring or the arena is
         full — the ``aio.ring_full`` fault point injects that refusal
         even with space remaining (a racing producer got there first).
+        A refused push writes nothing.
         """
         if faults.ACTIVE is not None:
             if faults.fire("aio.ring_full") is not None:
                 raise XPCRingFullError(
                     self.name, "submission ring full (injected)")
-        if self.space() <= 0:
+        sq_head, sq_tail, cq_head, cq_tail, cursor, seq = self._read_index()
+        if sq_tail - cq_head >= self.entries:
             raise XPCRingFullError(
                 self.name,
                 f"submission ring full ({self.entries} outstanding)")
         meta_bytes = encode_meta(meta)
         slot_len = _align8(max(len(payload), reply_capacity, 1))
-        meta_off = self._arena_alloc(len(meta_bytes))
-        data_off = self._arena_alloc(slot_len)
-        self._mem.write(self.pa_base + meta_off, meta_bytes)
+        # Meta and data slot are one allocation: both fit or neither.
+        meta_off = cursor
+        data_off = meta_off + _align8(len(meta_bytes))
+        cursor = self._arena_alloc(meta_off, data_off + slot_len - meta_off)
+        mem, base = self._mem, self.pa_base
+        mem.write(base + meta_off, meta_bytes)
         if payload:
-            self._mem.write(self.pa_base + data_off, payload)
-        fill = len(meta_bytes) + len(payload)
-        tail = self.sq_tail
-        seq = self.next_seq
-        self._mem.write(
-            self.pa_base + self._sqe_off + (tail % self.entries) * SQE_BYTES,
+            mem.write(base + data_off, payload)
+        mem.write(
+            base + self._sqe_off + (sq_tail % self.entries) * SQE_BYTES,
             _SQE.pack(seq, meta_off, len(meta_bytes), data_off,
                       slot_len, len(payload)))
-        self._store(1, tail + 1)
-        self._store(5, seq + 1)
+        self._write_index(sq_head, sq_tail + 1, cq_head, cq_tail,
+                          cursor, seq + 1)
         if san.ACTIVE is not None:
             san.ACTIVE.access(core, self, "ring-sq",
                               "aio.ring.push_sqe", "write")
+        fill = len(meta_bytes) + len(payload)
         core.tick(core.params.aio_sqe_op
                   + int(fill * core.params.relay_fill_per_byte))
         return seq
 
     def pop_cqe(self, core: Core) -> Optional[CQE]:
         """Harvest one completion (client side); None when drained."""
-        head = self.cq_head
-        if head >= self.cq_tail:
+        sq_head, sq_tail, cq_head, cq_tail, cursor, seq = self._read_index()
+        if cq_head >= cq_tail:
             return None
         raw = self._mem.read(
-            self.pa_base + self._cqe_off + (head % self.entries) * CQE_BYTES,
-            _CQE.size)
-        self._store(2, head + 1)
+            self.pa_base + self._cqe_off
+            + (cq_head % self.entries) * CQE_BYTES, _CQE.size)
+        self._write_index(sq_head, sq_tail, cq_head + 1, cq_tail,
+                          cursor, seq)
         if san.ACTIVE is not None:
             san.ACTIVE.access(core, self, "ring-cq",
                               "aio.ring.pop_cqe", "write")
@@ -300,12 +408,13 @@ class XPCRing:
 
     def reset(self, core: Core) -> None:
         """Rewind the arena once every completion has been harvested."""
-        if self.sq_head != self.sq_tail or self.cq_head != self.cq_tail:
+        sq_head, sq_tail, cq_head, cq_tail, _, seq = self._read_index()
+        if sq_head != sq_tail or cq_head != cq_tail:
             raise XPCError(
                 f"{self.name}: reset with requests in flight "
-                f"(sq {self.sq_head}/{self.sq_tail}, "
-                f"cq {self.cq_head}/{self.cq_tail})")
-        self._store(4, self._arena_off)
+                f"(sq {sq_head}/{sq_tail}, cq {cq_head}/{cq_tail})")
+        self._write_index(sq_head, sq_tail, cq_head, cq_tail,
+                          self._arena_off, seq)
         if san.ACTIVE is not None:
             san.ACTIVE.access(core, self, "ring-sq",
                               "aio.ring.reset", "write")
@@ -327,13 +436,14 @@ class XPCRing:
                     obs.ACTIVE.registry.counter(
                         f"aio.stale_head_recovered.{self.name}").inc(
                             cycle=core.cycles)
-        head = self.sq_head
-        if head >= self.sq_tail:
+        sq_head, sq_tail, cq_head, cq_tail, cursor, seq = self._read_index()
+        if sq_head >= sq_tail:
             return None
         raw = self._mem.read(
-            self.pa_base + self._sqe_off + (head % self.entries) * SQE_BYTES,
-            _SQE.size)
-        self._store(0, head + 1)
+            self.pa_base + self._sqe_off
+            + (sq_head % self.entries) * SQE_BYTES, _SQE.size)
+        self._write_index(sq_head + 1, sq_tail, cq_head, cq_tail,
+                          cursor, seq)
         if san.ACTIVE is not None:
             san.ACTIVE.access(core, self, "ring-sq",
                               "aio.ring.pop_sqe", "write")
@@ -347,14 +457,17 @@ class XPCRing:
         Reply payload bytes are already in place in the request's arena
         slot; only the reply meta is serialized here."""
         rmeta_bytes = encode_meta(reply_meta)
-        rmeta_off = self._arena_alloc(len(rmeta_bytes))
-        self._mem.write(self.pa_base + rmeta_off, rmeta_bytes)
-        tail = self.cq_tail
-        self._mem.write(
-            self.pa_base + self._cqe_off + (tail % self.entries) * CQE_BYTES,
+        (sq_head, sq_tail, cq_head, cq_tail,
+         rmeta_off, next_seq) = self._read_index()
+        cursor = self._arena_alloc(rmeta_off, len(rmeta_bytes))
+        mem, base = self._mem, self.pa_base
+        mem.write(base + rmeta_off, rmeta_bytes)
+        mem.write(
+            base + self._cqe_off + (cq_tail % self.entries) * CQE_BYTES,
             _CQE.pack(seq, status, rmeta_off, len(rmeta_bytes),
                       rdata_off, rdata_len))
-        self._store(3, tail + 1)
+        self._write_index(sq_head, sq_tail, cq_head, cq_tail + 1,
+                          cursor, next_seq)
         if san.ACTIVE is not None:
             san.ACTIVE.access(core, self, "ring-cq",
                               "aio.ring.push_cqe", "write")
@@ -391,15 +504,16 @@ class XPCRing:
     def peek_cqes(self) -> List[CQE]:
         """Uncharged view of unharvested completions (for invariant
         checks and crash-recovery harvesting)."""
+        _, _, cq_head, cq_tail, _, _ = self._read_index()
         out = []
-        for idx in range(self.cq_head, self.cq_tail):
+        for i in range(cq_head, cq_tail):
             raw = self._mem.read(
                 self.pa_base + self._cqe_off
-                + (idx % self.entries) * CQE_BYTES, _CQE.size)
+                + (i % self.entries) * CQE_BYTES, _CQE.size)
             out.append(CQE(*_CQE.unpack(raw)))
         return out
 
     def __repr__(self) -> str:
+        sq_head, sq_tail, cq_head, cq_tail, _, _ = self._read_index()
         return (f"XPCRing({self.name!r}, entries={self.entries}, "
-                f"sq={self.sq_head}/{self.sq_tail}, "
-                f"cq={self.cq_head}/{self.cq_tail})")
+                f"sq={sq_head}/{sq_tail}, cq={cq_head}/{cq_tail})")

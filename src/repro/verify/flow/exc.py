@@ -51,7 +51,8 @@ MUTATORS: FrozenSet[str] = frozenset({
     "push", "pop", "force_pop", "spill", "unspill",
     "push_sqe", "pop_sqe", "push_cqe", "pop_cqe", "reset",
     "bind", "unbind", "swapseg", "xcall", "xret", "tick",
-    "_store", "store", "install_relay_seg", "deactivate_relay_seg",
+    "_store", "_write_index", "store", "install_relay_seg",
+    "deactivate_relay_seg",
     "grant_xcall_cap", "revoke_xcall_cap", "kill_process",
     "invalidate_records_of", "set_address_space",
 })

@@ -5,7 +5,7 @@ indices and records are *memory-resident protocol state* shared across
 an address-space boundary: every mutation must be cycle-charged and
 ordering-checked by :class:`repro.aio.ring.XPCRing`.  Code elsewhere
 that pokes a ring's internals — calling its private helpers
-(``ring._store(...)``) or rebinding its geometry attributes
+(``ring._write_index(...)``) or rebinding its geometry attributes
 (``ring.entries = ...``) — bypasses the charging and the head/tail
 discipline, silently breaking both the cycle model and the invariants
 ``repro.verify.check_ring_invariants`` later asserts.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.aio import CQE, SQE_ERR, SQE_OK, XPCRing, XPCRingFullError
-from repro.aio.ring import decode_meta, encode_meta
+from repro.aio.ring import HDR_BYTES, decode_meta, encode_meta
 from repro.hw.machine import Machine
 from repro.kernel.kernel import BaseKernel
 from repro.params import DEFAULT_PARAMS
@@ -134,6 +134,20 @@ class TestCapacity:
                 ring.push_sqe(core, ("big", i), b"z" * 1024)
         assert "arena" in str(exc_info.value)
 
+    def test_refused_push_leaves_header_unchanged(self):
+        # The meta still fits but the data slot does not: the refusal
+        # must not keep the arena bytes already taken for the meta.
+        machine, kernel, seg, ring = make_ring(entries=8, seg_bytes=8192)
+        core = machine.core0
+        ring.push_sqe(core, ("fill",), b"f" * 1024)
+        before = ring.peek_indices()
+        cycles = core.cycles
+        free = seg.length - before["arena_cursor"]
+        with pytest.raises(XPCRingFullError, match="arena"):
+            ring.push_sqe(core, ("big",), b"z" * free)
+        assert ring.peek_indices() == before
+        assert core.cycles == cycles
+
     def test_reset_rewinds_arena(self):
         machine, kernel, seg, ring = make_ring()
         core = machine.core0
@@ -148,6 +162,108 @@ class TestCapacity:
         cursor_before = ring.arena_cursor
         ring.reset(core)
         assert ring.arena_cursor < cursor_before
+
+
+def record_accesses(monkeypatch, mem):
+    """Log every ``(kind, pa, nbytes)`` access *mem* serves."""
+    log = []
+    read, write = mem.read, mem.write
+
+    def counted_read(pa, n):
+        log.append(("read", pa, n))
+        return read(pa, n)
+
+    def counted_write(pa, data):
+        log.append(("write", pa, len(data)))
+        write(pa, data)
+
+    monkeypatch.setattr(mem, "read", counted_read)
+    monkeypatch.setattr(mem, "write", counted_write)
+    return log
+
+
+class TestIndexBlockAccess:
+    """Each ring operation reads the 24-byte index block once and
+    writes it back at most once; nothing else touches the header."""
+
+    def header_accesses(self, log, ring, op):
+        log.clear()
+        result = op()
+        hits = [a for a in log
+                if ring.pa_base <= a[1] < ring.pa_base + HDR_BYTES]
+        return result, hits
+
+    def test_each_op_reads_the_block_once_and_writes_it_at_most_once(
+            self, monkeypatch):
+        machine, kernel, seg, ring = make_ring()
+        core = machine.core0
+        log = record_accesses(monkeypatch, machine.memory)
+        block = ring.pa_base + 24
+        read_once = [("read", block, 24)]
+        read_write = read_once + [("write", block, 24)]
+
+        seq, hits = self.header_accesses(
+            log, ring, lambda: ring.push_sqe(core, ("op", 1), b"data"))
+        assert hits == read_write
+        sqe, hits = self.header_accesses(log, ring,
+                                         lambda: ring.pop_sqe(core))
+        assert sqe.seq == seq and hits == read_write
+        _, hits = self.header_accesses(
+            log, ring, lambda: ring.push_cqe(core, seq, SQE_OK, ("ok",),
+                                             sqe.data_off, 4))
+        assert hits == read_write
+        cqe, hits = self.header_accesses(log, ring,
+                                         lambda: ring.pop_cqe(core))
+        assert cqe.seq == seq and hits == read_write
+        # Empty queues: one read, no write.
+        for pop in (ring.pop_sqe, ring.pop_cqe):
+            none, hits = self.header_accesses(log, ring,
+                                              lambda: pop(core))
+            assert none is None and hits == read_once
+        _, hits = self.header_accesses(log, ring,
+                                       lambda: ring.reset(core))
+        assert hits == read_write
+        _, hits = self.header_accesses(log, ring, ring.peek_indices)
+        assert hits == read_once
+
+    def test_refused_push_reads_once_and_writes_nothing(self, monkeypatch):
+        machine, kernel, seg, ring = make_ring(entries=1)
+        core = machine.core0
+        ring.push_sqe(core, ("a",))
+        log = record_accesses(monkeypatch, machine.memory)
+        with pytest.raises(XPCRingFullError):
+            ring.push_sqe(core, ("b",), b"x")
+        assert log == [("read", ring.pa_base + 24, 24)]
+
+    def test_client_and_attached_view_see_each_others_updates(self):
+        machine, kernel, seg, client = make_ring(entries=4)
+        core = machine.core0
+        worker = XPCRing.attach(core, machine.memory,
+                                SegReg.for_segment(seg))
+        # Interleave so that every whole-block write lands between two
+        # operations of the other side: a stale copy would roll back
+        # the other side's index.
+        client.push_sqe(core, ("op", 0), b"a")
+        client.push_sqe(core, ("op", 1), b"b")
+        assert worker.peek_indices() == client.peek_indices()
+        assert worker.pop_sqe(core).seq == 0
+        assert client.sq_head == 1
+        client.push_sqe(core, ("op", 2), b"c")
+        assert worker.sq_head == 1 and worker.sq_tail == 3
+        sqe = worker.pop_sqe(core)
+        assert worker.read_meta(sqe) == ("op", 1)
+        worker.push_cqe(core, sqe.seq, SQE_OK, ("ok", 1), sqe.data_off, 1)
+        assert client.cq_tail == 1
+        cqe = client.pop_cqe(core)
+        assert cqe.seq == 1 and client.read_reply_meta(cqe) == ("ok", 1)
+        assert worker.cq_head == 1
+        sqe = worker.pop_sqe(core)
+        worker.push_cqe(core, sqe.seq, SQE_OK, (), sqe.data_off, 0)
+        assert client.pop_cqe(core).seq == 2
+        idx = worker.peek_indices()
+        assert idx == client.peek_indices()
+        assert (idx["sq_head"], idx["sq_tail"], idx["cq_head"],
+                idx["cq_tail"], idx["next_seq"]) == (3, 3, 2, 2, 3)
 
 
 class TestCycleAccounting:

@@ -262,3 +262,21 @@ class TestFlowExcept:
         violations = flow(SWALLOW, "repro.services.fsrv",
                           FlowExceptRule())
         assert violations == []
+
+    def test_swallow_before_the_ring_index_write_is_caught(self):
+        violations = flow("""\
+            class XPCRing:
+                def pop_sqe(self, core):
+                    head, tail, cq_head, cq_tail, cur, seq = self._read_index()
+                    try:
+                        sqe = self.decode(head)
+                    except Exception:
+                        sqe = None
+                    self._write_index(head + 1, tail, cq_head, cq_tail,
+                                      cur, seq)
+                    return sqe
+            """, "repro.aio.badring", FlowExceptRule())
+        assert len(violations) == 1
+        v = violations[0]
+        assert v.line == 6                      # the `except` line
+        assert "_write_index" in v.message
