@@ -13,10 +13,12 @@ session end fresh numbers are compared against it and drift beyond
 intentional change with ``REPRO_BLESS=1``.
 
 Run with ``REPRO_OBS=1`` to arm the observability stack
-(:mod:`repro.obs`) around every benchmark and drop one artifact per
-test under ``benchmarks/obs/`` — render them with
-``python -m repro.obs``.  Observation never moves the simulated clock,
-so the recorded numbers are identical either way (asserted in CI).
+(:mod:`repro.obs`, cycle profiler included) around every benchmark and
+drop one artifact per test under ``benchmarks/obs/`` — render them with
+``python -m repro.obs``.  Observation never moves the simulated clock
+(``tests/integration/test_observer_neutrality.py``), so the recorded
+numbers are identical either way: the obs CI job runs armed with
+``REPRO_BASELINE_TOL=0``.
 """
 
 from __future__ import annotations
@@ -136,16 +138,15 @@ def results():
 
 @pytest.fixture(autouse=True)
 def obs_session(request):
-    """With ``REPRO_OBS=1``: arm a fresh ObsSession around the test and
-    persist its artifact to ``benchmarks/obs/<test>.json``."""
+    """With ``REPRO_OBS=1``: arm a fresh profiling ObsSession around the
+    test and persist its artifact to ``benchmarks/obs/<test>.json``."""
     if os.environ.get("REPRO_OBS") != "1":
         yield None
         return
     import repro.obs as obs
     capacity = int(os.environ.get("REPRO_OBS_SPANS", "20000"))
-    profile = os.environ.get("REPRO_PROFILE") == "1"
     with obs.active(obs.ObsSession(span_capacity=capacity,
-                                   profile=profile)) as session:
+                                   profile=True)) as session:
         yield session
     os.makedirs(OBS_DIR, exist_ok=True)
     slug = re.sub(r"[^\w.-]+", "_", request.node.name).strip("_")
@@ -153,21 +154,3 @@ def obs_session(request):
     with open(path, "w") as fh:
         json.dump(session.report(title=request.node.name), fh)
 
-
-@pytest.fixture(autouse=True)
-def san_session(request):
-    """With ``REPRO_XPCSAN=1``: arm XPCSan around every benchmark.
-
-    The sanitizer is cycle-neutral (like obs), so the recorded numbers
-    are byte-identical either way — CI asserts that by diffing
-    ``results.json`` between a sanitized and a plain run.  Any
-    conflicting unsynchronized access fails the benchmark outright.
-    """
-    import repro.san as san
-    session = san.from_env()
-    if session is None:
-        yield None
-        return
-    with san.active(session):
-        yield session
-    assert not session.issues, san.format_issues(session.issues)

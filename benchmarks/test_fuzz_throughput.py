@@ -16,7 +16,6 @@ from repro.proptest.executors import SyncExecutor, default_executor_factories
 from repro.proptest.fastexec import FastCoreExecutor
 from repro.proptest.gen import generate
 from repro.proptest.harness import run_differential
-from repro.prof.host import fuzz_host_breakdown
 from repro.sel4 import Sel4Kernel, Sel4XPCTransport
 
 SEEDS = (0, 1, 2, 3)
@@ -52,16 +51,6 @@ def test_fuzz_campaign_throughput(benchmark, results):
           f"({ops_per_mcycle:.1f} ops/Mcycle)")
     for seed, cycles in per_seed.items():
         print(f"  seed {seed}: {cycles} cycles")
-
-    # Where the *host* CPU goes while the campaign runs — the
-    # wall-clock view next to the simulated-cycle numbers above.
-    # Printed only: wall fractions jitter run to run, so they stay out
-    # of the drift-guarded results.
-    host = fuzz_host_breakdown(seed=SEEDS[0], programs=1)
-    split = sorted(host.fractions().items(), key=lambda kv: -kv[1])
-    print("host wall-clock breakdown (1 program):")
-    for unit, fraction in split[:6]:
-        print(f"  {unit:<16} {100 * fraction:5.1f}%")
 
     assert total_cycles > 0 and total_ops > 0
     results.record("fuzz_throughput", {

@@ -5,8 +5,9 @@ Two claims ship with the profiler and both are measured here:
 1. **Simulated cycles are untouched.**  The profiler observes
    :meth:`Core.tick`; it never charges.  Profiler-off vs profiler-on
    runs of the same scenario produce identical cycle totals and
-   identical per-op traces — the null-sink guarantee CI also checks
-   byte-for-byte on the benchmark artifacts.
+   identical per-op traces — the null-sink guarantee
+   ``tests/integration/test_observer_neutrality.py`` proves for every
+   observer.
 2. **Attribution is complete.**  Armed, the flame tree accounts for
    100% of charged cycles — the profiler's acceptance bar.
 

@@ -29,7 +29,7 @@ and in a test / benchmark driver:
 
 Observation is free: nothing here calls ``tick`` or mutates simulator
 state, so obs-on and obs-off runs produce byte-identical cycle counts
-(asserted in CI).
+(``tests/integration/test_observer_neutrality.py`` proves it).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ __all__ = [
     "ACTIVE", "Counter", "CycleProfiler", "Gauge", "Histogram",
     "MetricsRegistry", "ObsSession", "PMU", "PMUSnapshot",
     "ProfileNode", "Span", "SpanTracer", "active", "diff_collapsed",
-    "install", "prof_frame", "uninstall",
+    "prof_frame",
 ]
 
 #: The installed session, or None.  Instrumented hot paths check this
@@ -129,23 +129,13 @@ def prof_frame(core, label: str):
         yield profiler
 
 
-def install(session: Optional[ObsSession]) -> None:
-    global ACTIVE
-    ACTIVE = session
-    faults.OBSERVER = session.on_fault if session is not None else None
-
-
-def uninstall() -> None:
-    install(None)
-
-
 @contextmanager
 def active(session: ObsSession):
-    """Install *session* for the duration of the block (restoring the
-    previous session, so nested scopes compose)."""
+    """Install *session* (and its fault observer) for the duration of
+    the block, restoring the previous ones so nested scopes compose."""
     global ACTIVE
     prev, prev_observer = ACTIVE, faults.OBSERVER
-    install(session)
+    ACTIVE, faults.OBSERVER = session, session.on_fault
     try:
         yield session
     finally:

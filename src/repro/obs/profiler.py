@@ -27,7 +27,7 @@ speedscope "folded" format) always sums to the clock.
 
 Like the rest of :mod:`repro.obs`, the profiler never ticks and never
 mutates simulator state: profiler-on and profiler-off runs are
-cycle-identical (CI byte-compares fig5/fig7 results both ways).
+cycle-identical (``tests/integration/test_observer_neutrality.py``).
 """
 
 from __future__ import annotations

@@ -3,13 +3,10 @@
 Built on :mod:`repro.obs` (which owns the in-simulation
 :class:`~repro.obs.profiler.CycleProfiler`, so the hw layer can call
 it) and :mod:`repro.snap` (whose record/replay stack powers the
-bisecting sentry).  Four surfaces:
+bisecting sentry).  Three surfaces:
 
 * **cycle flames** — run a scenario under ``ObsSession(profile=True)``
   and export collapsed stacks (``python -m repro.prof flame``);
-* **host profiling** — :mod:`repro.prof.host` attributes the
-  interpreter's wall-clock per repro subsystem (ROADMAP item 2's
-  data);
 * **SLOs** — :mod:`repro.prof.slo` evaluates declarative objectives
   (``p99(xpc.call_cycles) < 500``) over the metrics registry with
   burn-rate alerts; its engine is the duck-typed autoscaling signal
@@ -22,8 +19,6 @@ bisecting sentry).  Four surfaces:
 
 from repro.obs.profiler import (CycleProfiler, ProfileNode,
                                 diff_collapsed)
-from repro.prof.host import (HostProfile, fuzz_host_breakdown,
-                             profile_host, subsystem_of)
 from repro.prof.sentry import (SentryReport, bisect_regression,
                                profile_op, record_scenario,
                                seed_captest_regression)
@@ -31,9 +26,8 @@ from repro.prof.slo import (Alert, SLOEngine, SLOParseError, SLOSpec,
                             SLOStatus)
 
 __all__ = [
-    "Alert", "CycleProfiler", "HostProfile", "ProfileNode",
-    "SLOEngine", "SLOParseError", "SLOSpec", "SLOStatus",
-    "SentryReport", "bisect_regression", "diff_collapsed",
-    "fuzz_host_breakdown", "profile_host", "profile_op",
-    "record_scenario", "seed_captest_regression", "subsystem_of",
+    "Alert", "CycleProfiler", "ProfileNode", "SLOEngine",
+    "SLOParseError", "SLOSpec", "SLOStatus", "SentryReport",
+    "bisect_regression", "diff_collapsed", "profile_op",
+    "record_scenario", "seed_captest_regression",
 ]

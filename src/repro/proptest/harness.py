@@ -92,27 +92,20 @@ def expected_outcomes(program: Program) -> List[tuple]:
 
 def run_one(factory: Callable[[], object],
             program: Program) -> Tuple[ExecutionReport, object, int]:
-    """Run *program* on a fresh executor under its own obs session.
-
-    With ``REPRO_XPCSAN=1`` in the environment, every executor (not
-    just the ``+xpcsan`` roster variant) also runs under a fresh XPCSan
-    session, and its findings land in ``report.san_issues``.
+    """Run *program* on a fresh executor under its own obs and XPCSan
+    sessions; XPCSan findings land in ``report.san_issues`` (unless the
+    executor owns a session of its own, like ``SanExecutor``).
 
     Returns ``(report, pmu_snapshot, sim_cycles)``.
     """
     session = obs.ObsSession()
-    san_session = san.from_env()
-    with obs.active(session):
-        if san_session is not None:
-            with san.active(san_session):
-                executor = factory()
-                report = executor.run(program)
-        else:
-            executor = factory()
-            report = executor.run(program)
+    san_session = san.SanSession()
+    with obs.active(session), san.active(san_session):
+        executor = factory()
+        report = executor.run(program)
         snapshot = session.pmu.snapshot()
         sim_cycles = sum(core.cycles for core in executor.machine.cores)
-    if san_session is not None and report.san_issues is None:
+    if report.san_issues is None:
         report.san_issues = [issue.describe()
                              for issue in san_session.issues]
     return report, snapshot, sim_cycles

@@ -25,20 +25,20 @@ Like :mod:`repro.obs`, the sanitizer is a pure observer behind one
 global: instrumented sites do nothing but ``san.ACTIVE is not None``
 when disarmed, and even armed it never calls ``tick`` or mutates
 simulator state, so XPCSan-on runs are cycle-identical to XPCSan-off
-(enforced in CI exactly like obs).  Arm it per scope::
+(``tests/integration/test_observer_neutrality.py`` proves it).  Arm it
+per scope::
 
     import repro.san as san
     with san.active(san.SanSession()) as session:
         run_workload()
     assert not session.issues, san.format_issues(session.issues)
 
-or environment-wide with ``REPRO_XPCSAN=1`` (the chaos suite, the
-benchmark fixtures, and the proptest harness all honour it).
+The proptest harness runs every executor under a fresh session, and
+the chaos suite arms one around every test.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "ACTIVE", "SanAccess", "SanIssue", "SanSession", "active",
-    "format_issues", "from_env", "install", "uninstall",
+    "format_issues",
 ]
 
 #: The installed session, or None.  Instrumented hot paths check this
@@ -235,30 +235,13 @@ def format_issues(issues: List[SanIssue]) -> str:
     return "\n".join(lines)
 
 
-def install(session: Optional[SanSession]) -> None:
-    global ACTIVE
-    ACTIVE = session
-
-
-def uninstall() -> None:
-    install(None)
-
-
 @contextmanager
 def active(session: SanSession):
     """Install *session* for the duration of the block (restoring the
     previous session, so nested scopes compose)."""
     global ACTIVE
-    prev = ACTIVE
-    install(session)
+    prev, ACTIVE = ACTIVE, session
     try:
         yield session
     finally:
         ACTIVE = prev
-
-
-def from_env() -> Optional[SanSession]:
-    """A fresh session when ``REPRO_XPCSAN=1`` is set, else None."""
-    if os.environ.get("REPRO_XPCSAN") == "1":
-        return SanSession()
-    return None

@@ -12,7 +12,8 @@ both one ``copy.deepcopy`` pass:
   checkpoint costs only the pages dirtied since the last one);
 * ``restore(snap)`` — deepcopy the dormant graph back into a fresh,
   fully live world (memory rematerialises its bytearray) and reinstate
-  the global counters (koid/asid allocators) to their captured values.
+  the global counters (koid/asid allocators, the TCP initial-sequence
+  counter) to their captured values.
 
 Restore never mutates the snapshot: one snapshot can seed any number of
 divergent futures (that is what the shrinker and the time-travel
@@ -31,6 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.hw.paging import AddressSpace
 from repro.kernel.objects import KernelObject
+from repro.services.net.tcp import TCB
 from repro.snap.fingerprint import fingerprint
 
 #: Length of the store key prefix taken from the fingerprint.
@@ -41,12 +43,14 @@ def _capture_globals() -> Dict[str, int]:
     """The process-global allocator counters that live outside any
     world graph but feed object construction inside it."""
     return {"next_koid": KernelObject._next_koid,
-            "next_asid": AddressSpace._next_asid}
+            "next_asid": AddressSpace._next_asid,
+            "tcp_iss": TCB._iss_counter}
 
 
 def _restore_globals(state: Dict[str, int]) -> None:
     KernelObject._next_koid = state["next_koid"]
     AddressSpace._next_asid = state["next_asid"]
+    TCB._iss_counter = state["tcp_iss"]
 
 
 class Snapshot:

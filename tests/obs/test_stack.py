@@ -2,9 +2,10 @@
 
 The acceptance scenario: a fig7-shaped client→fs→blockdev workload on
 seL4-XPC exports a valid Chrome trace whose spans nest causally down
-the whole chain, the PMU's Figure-5 phase breakdown accounts for every
-engine cycle, and — the null-sink property — running with obs enabled
-does not move the simulated clock by a single cycle.
+the whole chain, and the PMU's Figure-5 phase breakdown accounts for
+every engine cycle.  The null-sink property (obs never moves the
+simulated clock) is proven in
+``tests/integration/test_observer_neutrality.py``.
 """
 
 import json
@@ -25,8 +26,7 @@ MEM = 128 * 1024 * 1024
 
 
 def run_fig7_workload():
-    """One fs read/write pass over the two-server FS stack; returns
-    (machine, total cycles)."""
+    """One fs read/write pass over the two-server FS stack."""
     machine = Machine(cores=2, mem_bytes=MEM)
     kernel = Sel4Kernel(machine)
     client_proc = kernel.create_process("app")
@@ -38,7 +38,6 @@ def run_fig7_workload():
     fs.create("/data")
     fs.write("/data", b"x" * 4096)
     assert fs.read("/data", 0, 4096) == b"x" * 4096
-    return machine, sum(core.cycles for core in machine.cores)
 
 
 class TestFig7Trace:
@@ -126,17 +125,6 @@ class TestFig7Trace:
         assert back["spans"]["finished"] == len(session.spans)
         assert back["span_summary"][0]["count"] >= 1
         assert len(back["trace_events"]) >= len(session.spans)
-
-
-def test_obs_is_cycle_invisible():
-    """The null-sink property, the PR's core acceptance bar: the same
-    workload spends exactly the same simulated cycles with the full
-    observability stack armed as with it disarmed."""
-    _, cycles_off = run_fig7_workload()
-    with obs.active(obs.ObsSession()) as session:
-        _, cycles_on = run_fig7_workload()
-    assert cycles_on == cycles_off
-    assert len(session.spans) > 0          # ...and it really observed
 
 
 def test_fault_injection_is_annotated_and_counted():

@@ -3,8 +3,9 @@
 Identity comparisons follow the single-lineage protocol: a fingerprint
 is only ever compared between a straight-line run and a restore of a
 snapshot taken *from that same run* (restore resets the process-global
-koid/asid allocators to the captured values, so the replay repeats the
-original allocation sequence exactly).  Outcome lists are value-based
+koid/asid allocators and the TCP initial-sequence counter to the
+captured values, so the replay repeats the original allocation sequence
+exactly).  Outcome lists are value-based
 and compare fine across lineages.
 """
 
@@ -14,7 +15,7 @@ import pytest
 
 from repro.snap import (Recorder, SnapshotStore, capture,
                         live_fingerprint, restore, world_clock)
-from repro.snap.scenarios import fig5_world
+from repro.snap.scenarios import fig5_world, fig7_world
 
 
 def test_restore_s0_replays_byte_identically():
@@ -27,6 +28,28 @@ def test_restore_s0_replays_byte_identically():
     replayed.run(ops)
     assert replayed.outcomes == world.outcomes
     assert replayed.op_cycles == world.op_cycles
+    assert live_fingerprint(replayed) == fp_straight
+
+
+class NetConnect:
+    """Open a fresh client socket and connect it to the listener:
+    the handshake draws a new TCP initial sequence number."""
+
+    def __call__(self, world):
+        sock = world.net.socket()
+        world.net.connect(sock, 80)
+        return ("connected", sock)
+
+
+def test_restore_replays_tcp_handshakes_byte_identically():
+    world, _ = fig7_world()
+    snap0 = capture(world, op_index=0)
+    world.step(NetConnect())
+    fp_straight = live_fingerprint(world)
+
+    replayed = restore(snap0)
+    replayed.step(NetConnect())
+    assert replayed.outcomes == world.outcomes
     assert live_fingerprint(replayed) == fp_straight
 
 
