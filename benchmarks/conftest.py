@@ -139,7 +139,8 @@ def results():
 @pytest.fixture(autouse=True)
 def obs_session(request):
     """With ``REPRO_OBS=1``: arm a fresh profiling ObsSession around the
-    test and persist its artifact to ``benchmarks/obs/<test>.json``."""
+    test, persist its artifact to ``benchmarks/obs/<test>.json``, and
+    fail the test if the profiler did not attribute every cycle."""
     if os.environ.get("REPRO_OBS") != "1":
         yield None
         return
@@ -151,6 +152,11 @@ def obs_session(request):
     os.makedirs(OBS_DIR, exist_ok=True)
     slug = re.sub(r"[^\w.-]+", "_", request.node.name).strip("_")
     path = os.path.join(OBS_DIR, f"{slug}.json")
+    artifact = session.report(title=request.node.name)
     with open(path, "w") as fh:
-        json.dump(session.report(title=request.node.name), fh)
+        json.dump(artifact, fh)
+    profile = artifact["profile"]
+    assert profile["complete"], (
+        f"{path}: profiler attributed {profile['attributed_cycles']} of "
+        f"{profile['clock_cycles']} clock cycles")
 

@@ -20,11 +20,12 @@ requires identical outcomes **and** identical per-op cycle deltas
 against the seL4-XPC reference on every fuzz program.  DESIGN.md §17
 documents the table layout and the equivalence methodology.
 
-Layering: this package may import nothing but :mod:`repro.params`.
-The reference engine may never import this package (the
-``fastcore-discipline`` lint rule in :mod:`repro.verify` enforces
-both directions), so reference and fast core cannot accidentally
-share implementation — only the differential gate ties them together.
+Layering: this package may import nothing but :mod:`repro.params`,
+and no reference unit may import it (the layering rule's
+``ALLOWED_IMPORTS`` map in :mod:`repro.verify` enforces both
+directions, and a test pins that only proptest may see it), so
+reference and fast core cannot accidentally share implementation —
+only the differential gate ties them together.
 """
 
 from repro.fastcore.structs import (FastCoreShim, FastService, KernelShim,

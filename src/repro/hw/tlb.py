@@ -42,12 +42,15 @@ class TLB:
 
     This sits on the simulator's hottest path (every memory access on a
     miss-heavy phase), so it is slotted and the lookup is flat: the key
-    tuple is built inline rather than through :meth:`_key`.
+    tuple is built inline rather than through :meth:`_key`.  Untagged
+    address-space switches flush far more often than anything is
+    inserted, so :meth:`flush_all` skips the sweep while ``_filled`` says
+    nothing was inserted since the last flush.
     ``tests/hw/test_tlb_boundary.py`` pins its set-index, LRU, ASID and
     flush edge cases.
     """
 
-    __slots__ = ("sets", "ways", "tagged", "_sets", "stats")
+    __slots__ = ("sets", "ways", "tagged", "_sets", "_filled", "stats")
 
     def __init__(self, entries: int = 256, ways: int = 4,
                  tagged: bool = False) -> None:
@@ -60,6 +63,7 @@ class TLB:
         # arrays for why: much cheaper to build and snapshot-copy than
         # OrderedDicts, with identical ordering semantics.
         self._sets = [{} for _ in range(self.sets)]
+        self._filled = False
         self.stats = TLBStats()
 
     def _key(self, vpn: int, asid: int) -> Tuple[int, int]:
@@ -92,6 +96,7 @@ class TLB:
         elif len(tset) >= self.ways:
             del tset[next(iter(tset))]
         tset[key] = (pa_page, perm)
+        self._filled = True
 
     def invalidate(self, va: int, asid: int) -> None:
         """Invalidate one translation (all ASIDs in untagged mode)."""
@@ -100,8 +105,10 @@ class TLB:
         tset.pop(self._key(vpn, asid), None)
 
     def flush_all(self) -> None:
-        for tset in self._sets:
-            tset.clear()
+        if self._filled:
+            for tset in self._sets:
+                tset.clear()
+            self._filled = False
         self.stats.flushes += 1
 
     def __deepcopy__(self, memo: dict) -> "TLB":
@@ -116,6 +123,7 @@ class TLB:
         dup.ways = self.ways
         dup.tagged = self.tagged
         dup._sets = [dict(tset) for tset in self._sets]
+        dup._filled = self._filled
         stats = self.stats
         dup.stats = TLBStats(stats.hits, stats.misses, stats.flushes)
         return dup

@@ -76,7 +76,9 @@ class CycleProfiler:
     session with a profiler is installed; everything else is free
     bookkeeping around it.  Stacks are keyed by ``core_id`` (stable
     across snapshot/restore, unlike ``id(core)``), so a deepcopied
-    profiler keeps attributing against the copied machine.
+    profiler keeps attributing against the copied machine.  Clocks are
+    kept per core *object*, so two machines' ``core0`` share one stack
+    but each contributes its own clock delta.
     """
 
     def __init__(self) -> None:
@@ -84,8 +86,11 @@ class CycleProfiler:
         self._stacks: Dict[int, List[ProfileNode]] = {}
         self._splits: Dict[int, Sequence[Tuple[str, int]]] = {}
         self._span_depth: Dict[int, int] = {}        # span_id -> depth
-        self._cores: Dict[int, object] = {}          # core_id -> core
-        self._baseline: Dict[int, int] = {}          # core.cycles at arm
+        #: one [core, cycles before its first charge, cycles after its
+        #: last charge] record per core object; _cores maps core_id to
+        #: the record of the core last seen under that id.
+        self._clocks: List[list] = []
+        self._cores: Dict[int, list] = {}
         self.attributed = 0
         #: pops that found no matching frame (mid-run arming, repairs
         #: racing the bridge) — nonzero means paths may be coarse, never
@@ -104,8 +109,14 @@ class CycleProfiler:
             self._roots[cid] = root
             stack = [root]
             self._stacks[cid] = stack
-            self._cores[cid] = core
-            self._baseline[cid] = core.cycles - already_charged
+        clock = self._cores.get(cid)
+        if clock is None or clock[0] is not core:
+            clock = next((c for c in self._clocks if c[0] is core), None)
+            if clock is None:
+                start = core.cycles - already_charged
+                clock = [core, start, start]
+                self._clocks.append(clock)
+            self._cores[cid] = clock
         return stack
 
     # -- frames ---------------------------------------------------------
@@ -180,12 +191,14 @@ class CycleProfiler:
         else:
             top.self_cycles += cycles
         self.attributed += cycles
+        self._cores[core.core_id][2] = core.cycles
 
     # -- completeness ---------------------------------------------------
     def clock_cycles(self) -> int:
-        """Cycles the profiled cores' clocks advanced while armed."""
-        return sum(self._cores[cid].cycles - self._baseline[cid]
-                   for cid in self._cores)
+        """Cycles the profiled cores' clocks advanced between each
+        core's first and last charge this profiler observed (a nested
+        session's charges after that are not this profile's)."""
+        return sum(last - first for _, first, last in self._clocks)
 
     def complete(self) -> bool:
         """The attribution invariant: flame total == clock total."""

@@ -8,12 +8,11 @@ active owner at any point in the call chain (the TOCTTOU defence of
 complementary static-analysis passes:
 
 * :mod:`repro.verify.lint` — a custom AST lint pass over ``src/repro``
-  enforcing repo-specific rules the design implies: layering
-  (:mod:`repro.verify.rules.layering`), cycle-accounting completeness
-  (:mod:`repro.verify.rules.cycles`), error discipline
-  (:mod:`repro.verify.rules.errors`), and the hardware-data-plane /
-  kernel-control-plane state-mutation split
-  (:mod:`repro.verify.rules.state`).
+  enforcing repo-specific rules the design implies (the eight rules of
+  :mod:`repro.verify.rules`).  Every import contract — the layer map,
+  and the forbidden edges that keep the proptest oracle and
+  ``repro.fastcore`` independent of what they check — lives in one
+  table, :mod:`repro.verify.rules.layering`.
 
 * :mod:`repro.verify.model` — an exhaustive bounded model checker that
   enumerates XPC state spaces (N threads × M x-entries ×
@@ -40,7 +39,7 @@ from repro.verify.lint import (
     LintViolation, Rule, collect_modules, format_violations, lint_paths,
     lint_source, run_lint, run_verify,
 )
-from repro.verify.rules import DEFAULT_RULES, default_rules
+from repro.verify.rules import default_rules
 from repro.verify.flow import (
     FLOW_RULES, ProgramModel, default_flow_rules, flow_source, run_flow,
 )
@@ -57,7 +56,7 @@ from repro.verify.model import (
 __all__ = [
     "LintViolation", "Rule", "collect_modules", "format_violations",
     "lint_paths", "lint_source", "run_lint", "run_verify",
-    "DEFAULT_RULES", "default_rules",
+    "default_rules",
     "FLOW_RULES", "ProgramModel", "default_flow_rules", "flow_source",
     "run_flow", "to_sarif", "write_sarif", "check_stale_pragmas",
     "known_rule_names",

@@ -257,15 +257,38 @@ def _collect_type_checking_lines(tree: ast.Module) -> Set[int]:
     return lines
 
 
-def in_type_checking_block(tree: ast.Module, node: ast.AST) -> bool:
-    """True if *node* sits under an ``if TYPE_CHECKING:`` guard.
+def names_in_chain(expr: ast.AST) -> Set[str]:
+    """Every Name id / Attribute attr along an access chain."""
+    out = set()
+    for sub in ast.walk(expr):
+        if isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Name):
+            out.add(sub.id)
+    return out
 
-    Compatibility shim over :meth:`ModuleInfo.in_type_checking`; rules
-    holding a :class:`ModuleInfo` should prefer the cached method.
-    """
-    lineno = getattr(node, "lineno", None)
-    return (lineno is not None
-            and lineno in _collect_type_checking_lines(tree))
+
+def assigned_attributes(node: ast.AST) -> Iterator[ast.Attribute]:
+    """Every attribute a plain, augmented or annotated assignment
+    *node* writes, through tuple/list unpacking and one subscript
+    (``a.b[i] = v`` writes ``a.b``)."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return
+    for target in targets:
+        stack = [target]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, (ast.Tuple, ast.List)):
+                stack.extend(t.elts)
+                continue
+            if isinstance(t, ast.Subscript):
+                t = t.value
+            if isinstance(t, ast.Attribute):
+                yield t
 
 
 def run_verify(src_root: Optional[Path] = None,

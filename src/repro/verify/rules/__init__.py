@@ -8,10 +8,8 @@ from repro.verify.rules.layering import LayeringRule
 from repro.verify.rules.cluster import ClusterDisciplineRule
 from repro.verify.rules.cycles import CycleAccountingRule
 from repro.verify.rules.errors import ErrorDisciplineRule
-from repro.verify.rules.fastcore import FastcoreDisciplineRule
 from repro.verify.rules.obs import ObsDisciplineRule
 from repro.verify.rules.aio import AioDisciplineRule
-from repro.verify.rules.proptest import ProptestDisciplineRule
 from repro.verify.rules.snap import SnapDisciplineRule
 from repro.verify.rules.state import StateMutationRule
 
@@ -20,19 +18,10 @@ def default_rules():
     """One fresh instance of every rule in the suite."""
     return [LayeringRule(), CycleAccountingRule(), ErrorDisciplineRule(),
             StateMutationRule(), ObsDisciplineRule(), AioDisciplineRule(),
-            ClusterDisciplineRule(), ProptestDisciplineRule(),
-            SnapDisciplineRule(), FastcoreDisciplineRule()]
+            ClusterDisciplineRule(), SnapDisciplineRule()]
 
 
-#: The rule classes, for introspection / selective runs.
-DEFAULT_RULES = (LayeringRule, CycleAccountingRule, ErrorDisciplineRule,
-                 StateMutationRule, ObsDisciplineRule, AioDisciplineRule,
-                 ClusterDisciplineRule, ProptestDisciplineRule,
-                 SnapDisciplineRule, FastcoreDisciplineRule)
-
-__all__ = ["AioDisciplineRule", "ClusterDisciplineRule",
-           "FastcoreDisciplineRule", "LayeringRule",
+__all__ = ["AioDisciplineRule", "ClusterDisciplineRule", "LayeringRule",
            "CycleAccountingRule", "ErrorDisciplineRule",
-           "ObsDisciplineRule", "ProptestDisciplineRule",
-           "SnapDisciplineRule", "StateMutationRule", "default_rules",
-           "DEFAULT_RULES"]
+           "ObsDisciplineRule", "SnapDisciplineRule", "StateMutationRule",
+           "default_rules"]

@@ -29,7 +29,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.verify.lint import LintViolation, ModuleInfo, Rule
+from repro.verify.lint import (LintViolation, ModuleInfo, Rule,
+                               assigned_attributes, names_in_chain)
 
 #: Names that identify a ring object in an access chain.
 RING_SURFACES = frozenset({"ring", "rings", "_ring", "sq", "cq"})
@@ -43,50 +44,22 @@ RING_STATE = frozenset({
 })
 
 
-def _names_in_chain(expr: ast.AST):
-    out = set()
-    for sub in ast.walk(expr):
-        if isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
-        elif isinstance(sub, ast.Name):
-            out.add(sub.id)
-    return out
-
-
-def _assign_targets(node: ast.AST):
-    if isinstance(node, ast.Assign):
-        return node.targets
-    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        return [node.target]
-    return []
-
-
 def _flagged(node: ast.AST):
     """Yield (line, message) for ring-discipline breaches in *node*."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         func = node.func
         if (func.attr.startswith("_")
-                and _names_in_chain(func.value) & RING_SURFACES):
+                and names_in_chain(func.value) & RING_SURFACES):
             yield (node.lineno,
                    f"calls private ring method {func.attr!r}")
-    for target in _assign_targets(node):
-        stack = [target]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, (ast.Tuple, ast.List)):
-                stack.extend(t.elts)
-                continue
-            if isinstance(t, ast.Subscript):
-                t = t.value
-            if not isinstance(t, ast.Attribute):
-                continue
-            if t.attr in RING_STATE:
-                yield (node.lineno,
-                       f"assigns ring state attribute {t.attr!r}")
-            elif _names_in_chain(t.value) & RING_SURFACES:
-                yield (node.lineno,
-                       f"writes attribute {t.attr!r} through a ring "
-                       f"reference")
+    for t in assigned_attributes(node):
+        if t.attr in RING_STATE:
+            yield (node.lineno,
+                   f"assigns ring state attribute {t.attr!r}")
+        elif names_in_chain(t.value) & RING_SURFACES:
+            yield (node.lineno,
+                   f"writes attribute {t.attr!r} through a ring "
+                   f"reference")
 
 
 class AioDisciplineRule(Rule):

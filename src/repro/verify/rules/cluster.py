@@ -28,7 +28,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.verify.lint import LintViolation, ModuleInfo, Rule
+from repro.verify.lint import (LintViolation, ModuleInfo, Rule,
+                               names_in_chain)
 
 #: Names that identify a Node reference in an access chain.
 NODE_SURFACES = frozenset({
@@ -41,16 +42,6 @@ NODE_INTERNALS = frozenset({"kernel", "machine"})
 
 #: Cluster modules allowed to open a node up (see module docstring).
 SANCTIONED_MODULES = frozenset({"node", "rpc", "serving"})
-
-
-def _names_in_chain(expr: ast.AST):
-    out = set()
-    for sub in ast.walk(expr):
-        if isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
-        elif isinstance(sub, ast.Name):
-            out.add(sub.id)
-    return out
 
 
 class ClusterDisciplineRule(Rule):
@@ -71,7 +62,7 @@ class ClusterDisciplineRule(Rule):
                 continue
             if node.attr not in NODE_INTERNALS:
                 continue
-            if not _names_in_chain(node.value) & NODE_SURFACES:
+            if not names_in_chain(node.value) & NODE_SURFACES:
                 continue
             v = self.violation(
                 module, node.lineno,

@@ -1,32 +1,37 @@
-"""Layering rule: the package dependency order the paper's design implies.
+"""Layering rule: every import contract of the package, in one place.
 
 The reproduction is layered like the system it models:
 
     params → hw → xpc → kernel → runtime → ipc → {sel4, zircon, binder}
                                                 → services → apps
 
-* ``repro.hw`` models silicon: it may not import ``repro.kernel`` or
-  ``repro.xpc`` (the engine plugs *into* the core through the
-  ``Core.xpc_engine`` port, not the other way round).  ``TYPE_CHECKING``
-  imports are exempt; the single sanctioned runtime inversion (engine
-  attach in ``Machine``) carries a ``# verify-ok: layering`` pragma.
-* OS personalities (``sel4``/``zircon``/``binder``) may not reach into
-  ``repro.hw`` internals: only the architectural surface (``cpu``,
-  ``machine``, ``memory``, ``paging`` and the package facade) is fair
-  game — the TLB and cache timing models are micro-architecture that
-  belongs to the core.
-* Personalities may not import each other, and nobody outside a package
-  may import an underscore-prefixed (private) name from it.
+Two tables, side by side, state every import contract:
 
-New top-level packages must be added to :data:`ALLOWED_IMPORTS`
-explicitly — an unknown unit is a violation, which forces each new
-subsystem to take a conscious position in the layering.
+* :data:`ALLOWED_IMPORTS` maps each top-level unit to the units it may
+  import (its own unit is always allowed).  ``repro.hw`` models
+  silicon, so it may not import ``repro.kernel`` or ``repro.xpc`` (the
+  engine plugs *into* the core through the ``Core.xpc_engine`` port);
+  the single sanctioned runtime inversion (engine attach in
+  ``Machine``) carries a ``# verify-ok: layering`` pragma.  A new
+  top-level package must be added explicitly — an unknown unit is a
+  violation, so each subsystem takes a conscious position.
+* :data:`FORBIDDEN_IMPORTS` maps an importer prefix — a unit
+  (``"sel4"``) or a module (``"proptest.executors"``) — to module
+  prefixes it may never import, even inside its own unit.  This is how
+  the two checkers stay independent of what they check, and how OS
+  glue stays off ``repro.hw``'s micro-architecture.
+
+Relative imports resolve against the importing module, and
+``from repro.X import name`` is checked as both ``X`` and ``X.name``,
+so a submodule imported through a package facade is still seen.
+Nobody outside a package may import an underscore-prefixed (private)
+name from it.  ``TYPE_CHECKING`` imports are exempt.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 from repro.verify.lint import LintViolation, ModuleInfo, Rule
 
@@ -39,9 +44,9 @@ ALLOWED_IMPORTS = {
     "faults": set(),
     # The table-driven fast core sits beside ``params`` at the bottom:
     # it precomputes cycle tables from CycleParams and must never see
-    # the reference stack it re-implements (see also the dedicated
-    # ``fastcore-discipline`` rule, which forbids the reverse edge and
-    # pins this set).
+    # the reference stack it re-implements.  No reference unit lists
+    # it, and only proptest (the equivalence gate) may import it; a
+    # tier-1 test pins both facts.
     "fastcore": {"params"},
     "hw": {"params", "faults", "obs", "san"},
     "xpc": {"hw", "params", "faults", "obs", "san"},
@@ -114,83 +119,116 @@ ALLOWED_IMPORTS = {
                 "obs", "san", "analysis"},
 }
 
-#: Modules of repro.hw that form its public, architectural surface.
-HW_PUBLIC_MODULES = {"", "cpu", "machine", "memory", "paging"}
 
-#: The three OS-personality glue layers.
-GLUE_UNITS = {"sel4", "zircon", "binder"}
+#: importer prefix -> module prefixes it may never import (relative to
+#: ``repro``).  Entries apply inside the importer's own unit too.
+_NO_HW_INTERNALS = {"hw.tlb", "hw.cache"}
+_NO_ORACLE = {"proptest.oracle"}
+FORBIDDEN_IMPORTS = {
+    # The differential's two sides stay independent: executors and the
+    # generator earn outcomes through the real mechanisms (or the
+    # fastcore tables), never off the reference model.  The shared
+    # vocabulary lives in ``grammar``; only the harness sees both.
+    "proptest.executors": _NO_ORACLE,
+    "proptest.gen": _NO_ORACLE,
+    "proptest.fastexec": _NO_ORACLE,
+    # OS glue stays on repro.hw's architectural surface (cpu, machine,
+    # memory, paging): TLB and cache timing belong to the core.
+    "sel4": _NO_HW_INTERNALS,
+    "zircon": _NO_HW_INTERNALS,
+    "binder": _NO_HW_INTERNALS,
+}
+
+
+def _within(name: str, prefix: str) -> bool:
+    """True if dotted *name* is *prefix* or one of its submodules."""
+    return name == prefix or name.startswith(prefix + ".")
+
+
+def _absolute(module: ModuleInfo, node: ast.ImportFrom) -> Optional[str]:
+    """The absolute module a ``from`` import names (None if unresolvable)."""
+    if not node.level:
+        return node.module or ""
+    package = module.modname.split(".")
+    if not module.path.endswith("__init__.py"):
+        package = package[:-1]
+    if node.level > len(package):
+        return None
+    base = package[:len(package) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _refusal(module: ModuleInfo, target: str) -> Optional[str]:
+    """Why *module* may not import module *target* (None if it may)."""
+    parts = target.split(".")
+    if len(parts) < 2:          # the repro facade itself
+        return None
+    importer, wanted = module.modname[len("repro."):], ".".join(parts[1:])
+    for key, forbidden in FORBIDDEN_IMPORTS.items():
+        if _within(importer, key) and any(_within(wanted, prefix)
+                                          for prefix in forbidden):
+            return (f"repro.{importer} may not import {target} "
+                    f"(layering: FORBIDDEN_IMPORTS[{key!r}] is "
+                    f"{sorted(forbidden)})")
+    unit, target_unit = module.unit, parts[1]
+    if target_unit == unit:
+        return None
+    allowed = ALLOWED_IMPORTS.get(unit)
+    if allowed is None:
+        return (f"unit {unit!r} is not in the layer map "
+                f"(repro.verify.rules.layering.ALLOWED_IMPORTS) — new "
+                f"packages must declare their layer explicitly")
+    if target_unit not in allowed:
+        return (f"repro.{unit} may not import repro.{target_unit} "
+                f"(layering: allowed are "
+                f"{', '.join(sorted(allowed)) or 'none'})")
+    return None
 
 
 class LayeringRule(Rule):
     name = "layering"
-    description = ("package imports must respect the hw → xpc → kernel → "
-                   "glue layering; no private names or hw internals "
-                   "across package boundaries")
+    description = ("imports must respect the layer map and the "
+                   "forbidden-import table; no private names across "
+                   "package boundaries")
 
     def check(self, module: ModuleInfo) -> Iterator[LintViolation]:
-        unit = module.unit
-        if unit == "":       # the repro package facade re-exports freely
+        if module.unit == "":   # the repro package facade re-exports freely
             return
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.level:          # relative import: same package
+            if isinstance(node, ast.Import):
+                imports = [(alias.name, []) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                target = _absolute(module, node)
+                if target is None:
                     continue
-                target = node.module or ""
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    v = self._check_target(module, node, alias.name, [])
-                    if v:
-                        yield v
-                continue
+                imports = [(target, [alias.name for alias in node.names])]
             else:
                 continue
-            v = self._check_target(module, node, target, names)
-            if v:
-                yield v
+            if module.in_type_checking(node):
+                continue
+            for target, names in imports:
+                v = self._check_import(module, node.lineno, target, names)
+                if v:
+                    yield v
 
-    def _check_target(self, module: ModuleInfo, node: ast.AST,
-                      target: str, names: list) -> Optional[LintViolation]:
+    def _check_import(self, module: ModuleInfo, line: int, target: str,
+                      names: List[str]) -> Optional[LintViolation]:
+        """One statement's verdict: ``target`` itself, then each
+        ``target.name`` (a submodule reached through a facade)."""
         parts = target.split(".")
         if parts[0] != "repro":
             return None
-        if module.in_type_checking(node):
-            return None
-        unit = module.unit
         target_unit = parts[1] if len(parts) > 1 else ""
-        line = node.lineno
-        # Private names never cross a package boundary.
-        if target_unit != unit:
+        if target_unit != module.unit:
             for name in names:
-                if name.startswith("_") and name != "*":
+                if name.startswith("_"):
                     return self.violation(
                         module, line,
                         f"imports private name {name!r} from "
                         f"repro.{target_unit} — private names do not "
                         f"cross package boundaries")
-        if target_unit == unit or target_unit == "":
-            return None
-        allowed = ALLOWED_IMPORTS.get(unit)
-        if allowed is None:
-            return self.violation(
-                module, line,
-                f"unit {unit!r} is not in the layer map "
-                f"(repro.verify.rules.layering.ALLOWED_IMPORTS) — new "
-                f"packages must declare their layer explicitly")
-        if target_unit not in allowed:
-            return self.violation(
-                module, line,
-                f"repro.{unit} may not import repro.{target_unit} "
-                f"(layering: allowed are "
-                f"{', '.join(sorted(allowed)) or 'none'})")
-        # Glue layers stay on repro.hw's architectural surface.
-        if unit in GLUE_UNITS and target_unit == "hw":
-            hw_module = ".".join(parts[2:])
-            if hw_module not in HW_PUBLIC_MODULES:
-                return self.violation(
-                    module, line,
-                    f"repro.{unit} reaches into repro.hw internals "
-                    f"(repro.hw.{hw_module}); only "
-                    f"{sorted(m for m in HW_PUBLIC_MODULES if m)} are "
-                    f"public to OS glue layers")
+        for candidate in [target] + [f"{target}.{n}" for n in names]:
+            reason = _refusal(module, candidate)
+            if reason:
+                return self.violation(module, line, reason)
         return None

@@ -27,7 +27,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.verify.lint import LintViolation, ModuleInfo, Rule
+from repro.verify.lint import (LintViolation, ModuleInfo, Rule,
+                               assigned_attributes, names_in_chain)
 
 #: Attributes exposing metric/counter storage: writable only in repro.obs.
 OBS_CONTAINERS = frozenset({
@@ -39,42 +40,13 @@ OBS_CONTAINERS = frozenset({
 OBS_SURFACES = frozenset({"registry", "pmu", "spans", "ACTIVE"})
 
 
-def _assign_targets(node: ast.AST):
-    if isinstance(node, ast.Assign):
-        return node.targets
-    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        return [node.target]
-    return []
-
-
-def _names_in_chain(expr: ast.AST):
-    """Every Name id / Attribute attr along an access chain."""
-    out = set()
-    for sub in ast.walk(expr):
-        if isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
-        elif isinstance(sub, ast.Name):
-            out.add(sub.id)
-    return out
-
-
 def _flagged_writes(node: ast.AST):
     """Yield (attr_name, reason) for obs-state writes in *node*."""
-    for target in _assign_targets(node):
-        stack = [target]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, (ast.Tuple, ast.List)):
-                stack.extend(t.elts)
-                continue
-            if isinstance(t, ast.Subscript):
-                t = t.value
-            if not isinstance(t, ast.Attribute):
-                continue
-            if t.attr in OBS_CONTAINERS:
-                yield t.attr, "rebinds an obs metric container"
-            elif _names_in_chain(t.value) & OBS_SURFACES:
-                yield t.attr, "mutates metric state through an obs surface"
+    for t in assigned_attributes(node):
+        if t.attr in OBS_CONTAINERS:
+            yield t.attr, "rebinds an obs metric container"
+        elif names_in_chain(t.value) & OBS_SURFACES:
+            yield t.attr, "mutates metric state through an obs surface"
 
 
 class ObsDisciplineRule(Rule):

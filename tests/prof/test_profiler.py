@@ -140,6 +140,23 @@ def test_per_core_stacks_are_independent(machine):
     assert prof.complete()
 
 
+def test_two_machines_sharing_a_core_id_are_both_clocked(machine):
+    """A second machine's ``core0`` shares the first one's stack but
+    is baselined on its own, so the clock check counts both."""
+    other = Machine(cores=1, mem_bytes=8 * 1024 * 1024)
+    other.core0.tick(100)                  # charged before arming
+    session = obs.ObsSession(profile=True)
+    with obs.active(session):
+        machine.core0.tick(5)
+        other.core0.tick(7)
+        machine.core0.tick(2)
+        other.core0.tick(1)
+    prof = session.profiler
+    assert prof.collapsed() == {"core0": 15}
+    assert prof.clock_cycles() == 15
+    assert prof.complete()
+
+
 def test_collapsed_text_is_flamegraph_folded_format(machine):
     session = obs.ObsSession(profile=True)
     core = machine.core0

@@ -1,13 +1,16 @@
 """Each lint rule must fire on a deliberately-broken fixture and stay
 quiet on the equivalent well-formed code."""
 
+import pathlib
 import textwrap
+
+import pytest
 
 from repro.verify import lint_source
 from repro.verify.rules.aio import AioDisciplineRule
 from repro.verify.rules.cycles import CycleAccountingRule
 from repro.verify.rules.errors import ErrorDisciplineRule
-from repro.verify.rules.layering import LayeringRule
+from repro.verify.rules.layering import ALLOWED_IMPORTS, LayeringRule
 from repro.verify.rules.obs import ObsDisciplineRule
 from repro.verify.rules.state import StateMutationRule
 
@@ -52,7 +55,17 @@ class TestLayeringRule:
             "from repro.hw.tlb import TLB\n",
             "repro.binder.driver", LayeringRule())
         assert len(violations) == 1
-        assert "internal" in violations[0].message
+        assert "repro.hw.tlb" in violations[0].message
+
+    @pytest.mark.parametrize("internal", ["tlb", "cache"])
+    @pytest.mark.parametrize("glue", ["sel4.kernel", "zircon.kernel",
+                                      "binder.driver"])
+    def test_glue_may_not_reach_hw_internals_through_the_facade(
+            self, glue, internal):
+        violations = lint(f"from repro.hw import {internal}\n",
+                          f"repro.{glue}", LayeringRule())
+        assert len(violations) == 1
+        assert f"repro.hw.{internal}" in violations[0].message
 
     def test_glue_may_use_hw_public_surface(self):
         violations = lint(
@@ -91,6 +104,105 @@ class TestLayeringRule:
             "repro.kernel.kernel", LayeringRule())
         assert len(violations) == 1          # stdlib is fine, mystery not
         assert "mystery" in violations[0].message
+
+    # -- the oracle contract: executors never see the reference model --
+    ORACLE_IMPORTS = {
+        "import": "import repro.proptest.oracle\n",
+        "from-package": "from repro.proptest import oracle\n",
+        "from-module": "from repro.proptest.oracle import Oracle\n",
+        "relative-package": "from . import oracle\n",
+        "relative-module": "from .oracle import Oracle\n",
+    }
+
+    @pytest.mark.parametrize("source", list(ORACLE_IMPORTS.values()),
+                             ids=list(ORACLE_IMPORTS))
+    @pytest.mark.parametrize("side", ["executors", "gen", "fastexec"])
+    def test_mechanism_side_may_not_import_the_oracle(self, side, source):
+        violations = lint(source, f"repro.proptest.{side}", LayeringRule())
+        assert len(violations) == 1
+        assert "repro.proptest.oracle" in violations[0].message
+
+    @pytest.mark.parametrize("source", list(ORACLE_IMPORTS.values()),
+                             ids=list(ORACLE_IMPORTS))
+    @pytest.mark.parametrize("module", ["harness", "grammar"])
+    def test_other_proptest_modules_may_import_the_oracle(self, module,
+                                                          source):
+        assert lint(source, f"repro.proptest.{module}",
+                    LayeringRule()) == []
+
+    def test_relative_import_in_a_package_init(self):
+        """``__init__.py`` is its own package: ``..`` is ``repro``."""
+        violations = lint_source("from ..hw import tlb\n", "repro.sel4",
+                                 [LayeringRule()],
+                                 path="src/repro/sel4/__init__.py")
+        assert len(violations) == 1
+        assert "repro.hw.tlb" in violations[0].message
+
+    # -- the fastcore contract: reference and fast core never meet --
+    #: The tempting shortcut: the engine "reuses" a precomputed sum,
+    #: and the op-by-op cycle diff silently becomes a tautology.
+    FASTCORE_IMPORT = "from repro.fastcore import cycle_table\n"
+
+    def test_fastcore_import_set_is_pinned(self):
+        """Editing the map cannot widen fastcore's diet, and only the
+        equivalence gate (proptest) may see the fast core."""
+        assert ALLOWED_IMPORTS["fastcore"] == {"params"}
+        assert [unit for unit, allowed in ALLOWED_IMPORTS.items()
+                if "fastcore" in allowed] == ["proptest"]
+
+    def test_reference_units_may_not_import_fastcore(self):
+        for unit in ("xpc.engine", "hw.cpu", "kernel.kernel",
+                     "runtime.xpclib", "ipc.xpc_transport"):
+            violations = lint(self.FASTCORE_IMPORT, f"repro.{unit}",
+                              LayeringRule())
+            assert len(violations) == 1, unit
+            assert "repro.fastcore" in violations[0].message
+
+    def test_aio_and_cluster_may_not_import_fastcore(self):
+        for unit in ("aio.pool", "cluster.loadgen"):
+            violations = lint(self.FASTCORE_IMPORT, f"repro.{unit}",
+                              LayeringRule())
+            assert len(violations) == 1, unit
+            assert "repro.fastcore" in violations[0].message
+
+    def test_fastcore_may_not_import_the_engine(self):
+        violations = lint("from repro.xpc.engine import XPCEngine\n",
+                          "repro.fastcore.tables", LayeringRule())
+        assert len(violations) == 1
+        assert "repro.xpc" in violations[0].message
+
+    def test_fastcore_plain_import_form_is_flagged(self):
+        violations = lint("import repro.kernel.kernel\n",
+                          "repro.fastcore.structs", LayeringRule())
+        assert len(violations) == 1
+
+    def test_fastcore_may_import_params_and_itself(self):
+        assert lint("from repro.params import DEFAULT_PARAMS\n"
+                    "from repro.fastcore.tables import CycleTable\n",
+                    "repro.fastcore.structs", LayeringRule()) == []
+
+    def test_proptest_fastexec_may_import_fastcore(self):
+        assert lint(self.FASTCORE_IMPORT, "repro.proptest.fastexec",
+                    LayeringRule()) == []
+
+    def test_fastcore_type_checking_import_is_exempt(self):
+        assert lint(
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.fastcore import CycleTable\n",
+            "repro.xpc.engine", LayeringRule()) == []
+
+    def test_fastcore_pragma_suppresses(self):
+        assert lint(
+            "from repro.fastcore import cycle_table"
+            "  # verify-ok: layering\n",
+            "repro.xpc.engine", LayeringRule()) == []
+
+    def test_real_fastcore_modules_pass(self):
+        for path in sorted(pathlib.Path("src/repro/fastcore").glob("*.py")):
+            modname = f"repro.fastcore.{path.stem}".replace(".__init__", "")
+            assert lint_source(path.read_text(), modname, [LayeringRule()],
+                               path=str(path)) == [], path
 
 
 # ----------------------------------------------------------------------
