@@ -7,6 +7,11 @@ fuzz run are executed in two subprocesses under different
 the obs span trace must be bit-identical.  Any divergence means some
 order-sensitive code path iterates a set (or relies on ``hash()``)
 where it should use insertion order or an explicit sort.
+
+The same run is also an output-identity gate: the Perfetto trace and
+the whole session report (metrics, PMU banks, span summary, collapsed
+profile) hash to pinned golden values, so a refactor of the
+instrumentation that changes any observer output fails here.
 """
 
 import os
@@ -19,12 +24,13 @@ REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", ".."))
 
 #: The workload a child process runs: deterministic fig7-shaped FS
-#: traffic through seL4-XPC, then one generated proptest program
-#: through a two-executor differential, all under an armed ObsSession.
-#: It prints ``cycles=<n>`` and ``trace=<sha256>`` for the parent to
-#: compare across hash seeds.
+#: traffic through seL4-XPC under an armed profiling ObsSession, then
+#: one generated proptest program through a two-executor differential.
+#: It prints ``cycles=<n>``, ``trace=<sha256>`` and ``report=<sha256>``
+#: for the parent to compare across hash seeds and against the pins.
 WORKER = """
 import hashlib
+import json
 import random
 
 from repro import obs
@@ -36,7 +42,7 @@ from repro.proptest.harness import run_differential
 from repro.sel4 import Sel4Kernel, Sel4Transport, Sel4XPCTransport
 from repro.services.fs import build_fs_stack
 
-session = ObsSession()
+session = ObsSession(profile=True)
 with obs.active(session):
     machine = Machine(cores=2, mem_bytes=256 * 1024 * 1024)
     kernel = Sel4Kernel(machine)
@@ -68,10 +74,22 @@ result = run_differential(generate(3), factories=factories)
 assert result.ok, [d.describe() for d in result.divergences]
 cycles += result.sim_cycles
 
+assert session.profiler.complete()
+
 trace = session.spans.chrome_json()
+report = json.dumps(session.report("golden"), sort_keys=True)
 print("cycles=%d" % cycles)
 print("trace=%s" % hashlib.sha256(trace.encode()).hexdigest())
+print("report=%s" % hashlib.sha256(report.encode()).hexdigest())
 """
+
+#: Golden outputs of WORKER.  Any change to what an observer records
+#: (span layout, metric names, PMU banks, profile stacks) moves these.
+GOLDEN_CYCLES = 1_167_529
+GOLDEN_TRACE = (
+    "88f6c53c67071219ebdca4296ac197bbf2168f7c6b9c0a05bb6e63674357e691")
+GOLDEN_REPORT = (
+    "c5e80737ab8ae3dec4006f7ca1e535ecc122d1c7cd2ea1683f7724fb615d3628")
 
 
 def _run_under_hash_seed(hash_seed: str) -> str:
@@ -83,8 +101,8 @@ def _run_under_hash_seed(hash_seed: str) -> str:
         capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     lines = [ln for ln in proc.stdout.splitlines()
-             if ln.startswith(("cycles=", "trace="))]
-    assert len(lines) == 2, proc.stdout
+             if ln.startswith(("cycles=", "trace=", "report="))]
+    assert len(lines) == 3, proc.stdout
     return "\n".join(lines)
 
 
@@ -92,5 +110,6 @@ def _run_under_hash_seed(hash_seed: str) -> str:
 def test_cycle_totals_and_traces_survive_hash_randomization():
     baseline = _run_under_hash_seed("0")
     assert baseline == _run_under_hash_seed("12345")
-    # Sanity: the workload actually simulated something.
-    assert int(baseline.splitlines()[0].split("=")[1]) > 0
+    assert baseline.splitlines() == [
+        f"cycles={GOLDEN_CYCLES}", f"trace={GOLDEN_TRACE}",
+        f"report={GOLDEN_REPORT}"]
