@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.ipc.transport import Handler
 from repro.kernel.kernel import BaseKernel
@@ -198,10 +198,9 @@ class WorkerPool:
         done = 0
         for worker in self.workers:
             done += worker.batcher.flush()
-            if obs.ACTIVE is not None:
-                obs.ACTIVE.registry.gauge(
-                    f"aio.backlog.{worker.service_name}").set(
-                        worker.backlog, cycle=worker.core.cycles)
+            if probe.GAUGE:
+                probe.GAUGE(f"aio.backlog.{worker.service_name}",
+                            worker.backlog, worker.core.cycles)
         return done
 
     def wait_all(self, futures: Sequence[XPCFuture]) -> list:
@@ -231,10 +230,8 @@ class WorkerPool:
             thief.batcher.adopt(future)
             moved += 1
         self.stolen += moved
-        if moved and obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter(
-                f"aio.migrated.{self.name}").inc(
-                    moved, cycle=thief.core.cycles)
+        if moved and probe.COUNT:
+            probe.COUNT(f"aio.migrated.{self.name}", moved, thief.core.cycles)
         return moved
 
     # -- SLO-driven autoscaling ----------------------------------------
@@ -258,10 +255,8 @@ class WorkerPool:
                         break
         self.active_workers = n
         self.scale_events += 1
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.gauge(
-                f"aio.active_workers.{self.name}").set(
-                    n, cycle=self.wall_cycles)
+        if probe.GAUGE:
+            probe.GAUGE(f"aio.active_workers.{self.name}", n, self.wall_cycles)
         return n
 
     def autoscale(self, now_cycles: Optional[int] = None) -> int:
@@ -285,11 +280,11 @@ class WorkerPool:
     def _completed(self, index: int, future: XPCFuture) -> None:
         self.completed += 1
         worker = self.workers[index]
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter(
-                f"aio.completed.{worker.service_name}").inc(
-                    cycle=worker.core.cycles)
-            obs.ACTIVE.pmu.add(worker.core, "aio.completions", 1)
+        if probe.COUNT:
+            probe.COUNT(f"aio.completed.{worker.service_name}", 1,
+                        worker.core.cycles)
+        if probe.EVENT:
+            probe.EVENT(worker.core, "aio.completions", 1)
 
     def stats(self) -> dict:
         """Per-worker drain/backlog snapshot (uncharged)."""

@@ -51,8 +51,7 @@ import struct
 from typing import List, NamedTuple, Optional, Tuple
 
 import repro.faults as faults
-import repro.obs as obs
-import repro.san as san
+import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.xpc.errors import XPCError
 from repro.xpc.relayseg import RelaySegment, SegReg
@@ -382,9 +381,8 @@ class XPCRing:
                       slot_len, len(payload)))
         self._write_index(sq_head, sq_tail + 1, cq_head, cq_tail,
                           cursor, seq + 1)
-        if san.ACTIVE is not None:
-            san.ACTIVE.access(core, self, "ring-sq",
-                              "aio.ring.push_sqe", "write")
+        if probe.ACCESS:
+            probe.ACCESS(core, self, "ring-sq", "aio.ring.push_sqe", "write")
         fill = len(meta_bytes) + len(payload)
         core.tick(core.params.aio_sqe_op
                   + int(fill * core.params.relay_fill_per_byte))
@@ -400,9 +398,8 @@ class XPCRing:
             + (cq_head % self.entries) * CQE_BYTES, _CQE.size)
         self._write_index(sq_head, sq_tail, cq_head + 1, cq_tail,
                           cursor, seq)
-        if san.ACTIVE is not None:
-            san.ACTIVE.access(core, self, "ring-cq",
-                              "aio.ring.pop_cqe", "write")
+        if probe.ACCESS:
+            probe.ACCESS(core, self, "ring-cq", "aio.ring.pop_cqe", "write")
         core.tick(core.params.aio_cqe_op)
         return CQE(*_CQE.unpack(raw))
 
@@ -415,11 +412,9 @@ class XPCRing:
                 f"(sq {sq_head}/{sq_tail}, cq {cq_head}/{cq_tail})")
         self._write_index(sq_head, sq_tail, cq_head, cq_tail,
                           self._arena_off, seq)
-        if san.ACTIVE is not None:
-            san.ACTIVE.access(core, self, "ring-sq",
-                              "aio.ring.reset", "write")
-            san.ACTIVE.access(core, self, "ring-cq",
-                              "aio.ring.reset", "write")
+        if probe.ACCESS:
+            probe.ACCESS(core, self, "ring-sq", "aio.ring.reset", "write")
+            probe.ACCESS(core, self, "ring-cq", "aio.ring.reset", "write")
         core.tick(core.params.aio_index_reload)
 
     # -- drain side (worker owns the segment after the xcall) ----------
@@ -432,10 +427,9 @@ class XPCRing:
         if faults.ACTIVE is not None:
             if faults.fire("aio.stale_head") is not None:
                 core.tick(core.params.aio_index_reload)
-                if obs.ACTIVE is not None:
-                    obs.ACTIVE.registry.counter(
-                        f"aio.stale_head_recovered.{self.name}").inc(
-                            cycle=core.cycles)
+                if probe.COUNT:
+                    probe.COUNT(f"aio.stale_head_recovered.{self.name}", 1,
+                                core.cycles)
         sq_head, sq_tail, cq_head, cq_tail, cursor, seq = self._read_index()
         if sq_head >= sq_tail:
             return None
@@ -444,9 +438,8 @@ class XPCRing:
             + (sq_head % self.entries) * SQE_BYTES, _SQE.size)
         self._write_index(sq_head + 1, sq_tail, cq_head, cq_tail,
                           cursor, seq)
-        if san.ACTIVE is not None:
-            san.ACTIVE.access(core, self, "ring-sq",
-                              "aio.ring.pop_sqe", "write")
+        if probe.ACCESS:
+            probe.ACCESS(core, self, "ring-sq", "aio.ring.pop_sqe", "write")
         core.tick(core.params.aio_sqe_op)
         return SQE(*_SQE.unpack(raw))
 
@@ -468,9 +461,8 @@ class XPCRing:
                       rdata_off, rdata_len))
         self._write_index(sq_head, sq_tail, cq_head, cq_tail + 1,
                           cursor, next_seq)
-        if san.ACTIVE is not None:
-            san.ACTIVE.access(core, self, "ring-cq",
-                              "aio.ring.push_cqe", "write")
+        if probe.ACCESS:
+            probe.ACCESS(core, self, "ring-cq", "aio.ring.push_cqe", "write")
         core.tick(core.params.aio_cqe_op
                   + int(len(rmeta_bytes) * core.params.relay_fill_per_byte))
 

@@ -17,32 +17,30 @@ and in a test / chaos driver:
     with faults.active(plan):
         run_workload()
     artifact = plan.trace_json()   # replays via FaultPlan.from_json
+
+Each injection fires the ``fault`` point of :mod:`repro.probe` before
+the site applies it, so observers see faults this package never knows.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Optional
+from typing import Optional
 
+import repro.probe as probe
 from repro.faults.plan import (FaultEvent, FaultPlan, FaultPlanError,
                                FaultSpec)
 from repro.faults.points import CATALOGUE
 
 __all__ = [
     "ACTIVE", "CATALOGUE", "FaultEvent", "FaultPlan", "FaultPlanError",
-    "FaultSpec", "OBSERVER", "ProcessCrashFault", "active", "fire",
-    "install", "uninstall",
+    "FaultSpec", "ProcessCrashFault", "active", "fire", "install",
+    "uninstall",
 ]
 
 #: The installed plan, or None.  Instrumented hot paths check this
 #: before calling fire() so the disarmed cost is a single global load.
 ACTIVE: Optional[FaultPlan] = None
-
-#: Injection observer: called as ``OBSERVER(point, action)`` whenever a
-#: fire() actually injects.  ``repro.obs`` installs its session hook
-#: here so injections show up as span annotations without this package
-#: importing (or knowing about) the observability layer.
-OBSERVER: Optional[Callable[[str, dict], None]] = None
 
 
 class ProcessCrashFault(Exception):
@@ -64,8 +62,8 @@ def fire(point: str) -> Optional[dict]:
     if ACTIVE is None:
         return None
     action = ACTIVE.fire(point)
-    if action is not None and OBSERVER is not None:
-        OBSERVER(point, action)
+    if action is not None and probe.FAULT:
+        probe.FAULT(point, action)
     return action
 
 

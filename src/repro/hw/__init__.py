@@ -9,13 +9,11 @@ tables and a real set-associative TLB; latencies come from
 
 from repro.hw.memory import PhysicalMemory, FrameAllocator, OutOfMemoryError
 from repro.hw.paging import PageTable, AddressSpace, PagePerm, PageFault
-from repro.hw.tlb import TLB
-from repro.hw.cache import CacheModel
 from repro.hw.cpu import Core, PrivilegeMode, TrapCause
 from repro.hw.machine import Machine
 
 __all__ = [
     "PhysicalMemory", "FrameAllocator", "OutOfMemoryError",
     "PageTable", "AddressSpace", "PagePerm", "PageFault",
-    "TLB", "CacheModel", "Core", "PrivilegeMode", "TrapCause", "Machine",
+    "Core", "PrivilegeMode", "TrapCause", "Machine",
 ]

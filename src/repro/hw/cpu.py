@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, Optional, TYPE_CHECKING
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.hw.cache import CacheModel
 from repro.hw.memory import PAGE_SIZE, PhysicalMemory
 from repro.hw.paging import AddressSpace, PageFault, PagePerm
@@ -67,16 +67,15 @@ class Core:
 
         This is the single charging primitive (the ``cycle-accounting``
         lint rule pins every other charge site back here), which makes
-        it the one hook the cycle-attribution profiler needs: observing
-        every ``tick`` attributes 100% of charged cycles by
-        construction.
+        its ``tick`` probe point the one hook the cycle-attribution
+        profiler needs: observing every ``tick`` attributes 100% of
+        charged cycles by construction.
         """
         if cycles < 0:
             raise ValueError("cannot rewind the clock")
         self.cycles += int(cycles)
-        session = obs.ACTIVE
-        if session is not None and session.profiler is not None:
-            session.profiler.on_tick(self, int(cycles))
+        if probe.TICK:
+            probe.TICK(self, int(cycles))
 
     # ------------------------------------------------------------------
     # Address-space control
@@ -88,18 +87,14 @@ class Core:
             return
         self.aspace = aspace
         if self.tlb.tagged:
-            if charge:
-                self.tick(self.params.asid_switch)
-                if obs.ACTIVE is not None:
-                    obs.ACTIVE.pmu.add(self, "cycles.asid_switch",
-                                       self.params.asid_switch)
+            event, cost = "cycles.asid_switch", self.params.asid_switch
         else:
             self.tlb.flush_all()
-            if charge:
-                self.tick(self.params.tlb_flush)
-                if obs.ACTIVE is not None:
-                    obs.ACTIVE.pmu.add(self, "cycles.tlb_flush",
-                                       self.params.tlb_flush)
+            event, cost = "cycles.tlb_flush", self.params.tlb_flush
+        if charge:
+            self.tick(cost)
+            if probe.EVENT:
+                probe.EVENT(self, event, cost)
 
     # ------------------------------------------------------------------
     # Translation (relay-seg window > TLB > page walk)
@@ -169,11 +164,6 @@ class Core:
         dst_as.write(dst_va, data)
         self.tick(self.params.copy_cycles(n))
 
-    def memcpy_phys(self, dst_pa: int, src_pa: int, n: int) -> None:
-        """Timed physical copy (DMA-less kernel memcpy)."""
-        self.mem.copy(dst_pa, src_pa, n)
-        self.tick(self.params.copy_cycles(n))
-
     # ------------------------------------------------------------------
     # Traps
     # ------------------------------------------------------------------
@@ -181,8 +171,8 @@ class Core:
         """Enter supervisor mode, charging the trap cost (Table 1)."""
         self.trap_count += 1
         self.mode = PrivilegeMode.SUPERVISOR
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.pmu.add(self, f"traps.{cause.value}")
+        if probe.EVENT:
+            probe.EVENT(self, f"traps.{cause.value}", 1)
         self.tick(self.params.trap_enter)
 
     def trap_return(self) -> None:

@@ -12,8 +12,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import repro.faults as faults
-import repro.obs as obs
-import repro.san as san
+import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.ipc.transport import RelayPayload, ServerRegistration, Transport
 from repro.kernel.kernel import BaseKernel
@@ -155,21 +154,19 @@ class XPCTransport(Transport):
         service = self._xpc_services[sid]
         self.call_count += 1
         self.bytes_moved += len(payload)
-        span = None
-        obs_core = self.current_core
-        if obs.ACTIVE is not None:
-            span = obs.ACTIVE.spans.begin(
-                obs_core, f"call:{service.name}", cat="transport",
-                sid=sid, bytes=len(payload))
-            obs.ACTIVE.registry.histogram(
-                "transport.payload_bytes").observe(
-                    len(payload), cycle=obs_core.cycles)
+        core = self.current_core
+        closers = probe.REGION and probe.REGION(
+            core, f"call:{service.name}", "transport",
+            {"sid": sid, "bytes": len(payload)})
+        if probe.OBSERVE:
+            probe.OBSERVE("transport.payload_bytes", len(payload), core.cycles)
         try:
             return self._call(service, meta, payload, reply_capacity,
                               window_slice)
         finally:
-            if span is not None and obs.ACTIVE is not None:
-                obs.ACTIVE.spans.end(obs_core, span)
+            if closers:
+                for close in closers:
+                    close()
 
     def _call(self, service: XPCService, meta: tuple, payload: bytes,
               reply_capacity: int, window_slice) -> Tuple[tuple, bytes]:
@@ -214,9 +211,9 @@ class XPCTransport(Transport):
             # segment (paper Listing 1: "fill relay-seg with argument").
             # Not a copy — but the store stream allocates cache lines.
             mem.write(seg.pa_base, payload)
-            if san.ACTIVE is not None:
-                san.ACTIVE.access(core, seg, "relay-seg",
-                                  "ipc.xpc_transport.fill", "write")
+            if probe.ACCESS:
+                probe.ACCESS(core, seg, "relay-seg", "ipc.xpc_transport.fill",
+                             "write")
             core.tick(int(len(payload)
                           * self.kernel.params.relay_fill_per_byte))
         masked = _round_page(window_bytes)
@@ -260,9 +257,9 @@ class XPCTransport(Transport):
         try:
             if payload:
                 mem.write(seg.pa_base, payload)
-                if san.ACTIVE is not None:
-                    san.ACTIVE.access(core, seg, "relay-seg",
-                                      "ipc.xpc_transport.stage", "write")
+                if probe.ACCESS:
+                    probe.ACCESS(core, seg, "relay-seg",
+                                 "ipc.xpc_transport.stage", "write")
                 # Staging into the scratch segment is a real copy.
                 core.tick(self.kernel.params.copy_cycles(len(payload)))
             window_bytes = max(len(payload), reply_capacity)

@@ -23,8 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
-import repro.obs as obs
-import repro.san as san
+import repro.probe as probe
 from repro.hw.cpu import Core, TrapCause
 from repro.hw.machine import Machine
 from repro.hw.memory import PAGE_SIZE
@@ -74,8 +73,8 @@ class BaseKernel:
         #: Subsystems (e.g. the Binder driver) that want to know when a
         #: process dies — callables taking the dead Process.
         self.death_hooks: List[Callable] = []
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.on_kernel(self)
+        if probe.KERNEL:
+            probe.KERNEL(self)
 
     # ------------------------------------------------------------------
     # Processes & threads
@@ -103,14 +102,13 @@ class BaseKernel:
         engine = self._engine(core)
         if engine is not None:
             engine.bind(thread, thread.xpc)
-        if san.ACTIVE is not None:
-            # Scheduler dispatch synchronizes the thread's XPC state with
-            # the new core: open fresh epochs on its link stack and seg.
-            san.ACTIVE.handoff(thread.xpc.link_stack, "link-stack",
-                               via="run_thread")
+        # Scheduler dispatch synchronizes the thread's XPC state with the
+        # new core: its link stack and seg change hands.
+        if probe.HANDOFF:
+            probe.HANDOFF(thread.xpc.link_stack, "link-stack", "run_thread")
             if thread.xpc.seg_reg.valid:
-                san.ACTIVE.handoff(thread.xpc.seg_reg.segment,
-                                   "relay-seg", via="run_thread")
+                probe.HANDOFF(thread.xpc.seg_reg.segment, "relay-seg",
+                              "run_thread")
 
     def _engine(self, core: Core) -> Optional[XPCEngine]:
         return core.xpc_engine
@@ -220,16 +218,6 @@ class BaseKernel:
                 return i
         raise KernelError("seg-list full")
 
-    def activate_relay_seg(self, core: Core, thread: Thread,
-                           slot: int) -> None:
-        """Install the parked segment in *slot* as the thread's seg-reg.
-
-        This is the user-mode ``swapseg`` path; the kernel only sets it up
-        the first time (thereafter user code swaps without trapping).
-        """
-        engine = self._engine(core)
-        engine.swapseg(slot)
-
     def install_relay_seg(self, thread, seg: RelaySegment) -> None:
         """Control plane: install *seg* directly as *thread*'s seg-reg.
 
@@ -244,8 +232,8 @@ class BaseKernel:
                 f"relay segment {seg.seg_id} is active on another thread")
         thread.xpc.seg_reg = SegReg.for_segment(seg)
         seg.active_owner = thread
-        if san.ACTIVE is not None:
-            san.ACTIVE.handoff(seg, "relay-seg", via="install_relay_seg")
+        if probe.HANDOFF:
+            probe.HANDOFF(seg, "relay-seg", "install_relay_seg")
 
     def deactivate_relay_seg(self, thread) -> Optional[RelaySegment]:
         """Control plane: invalidate *thread*'s seg-reg, releasing
@@ -257,9 +245,8 @@ class BaseKernel:
         if not window.valid:
             return None
         window.segment.active_owner = None
-        if san.ACTIVE is not None:
-            san.ACTIVE.handoff(window.segment, "relay-seg",
-                               via="deactivate_relay_seg")
+        if probe.HANDOFF:
+            probe.HANDOFF(window.segment, "relay-seg", "deactivate_relay_seg")
         return window.segment
 
     def free_relay_seg(self, core: Core, seg: RelaySegment) -> None:
@@ -308,32 +295,29 @@ class BaseKernel:
         e.g. capacity so small nothing is resident, and the caller must
         give up).
         """
-        with obs.prof_frame(core, "kernel:link_spill"):
+        with probe.region(core, "kernel:link_spill"):
             core.trap(TrapCause.XPC_EXCEPTION)
             stack = thread.xpc.link_stack
             spilled = stack.spill(max(1, stack.capacity // 2))
             core.tick(spilled * _LINK_SPILL_PER_RECORD)
             core.trap_return()
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter("kernel.link_spills").inc(
-                cycle=core.cycles)
-            obs.ACTIVE.registry.counter("kernel.link_spilled_records").inc(
-                spilled, cycle=core.cycles)
+        if probe.COUNT:
+            probe.COUNT("kernel.link_spills", 1, core.cycles)
+            probe.COUNT("kernel.link_spilled_records", spilled, core.cycles)
         return spilled
 
     def handle_link_underflow(self, core: Core, thread: Thread) -> int:
         """Trap handler for :class:`LinkStackUnderflowError`: refill the
         SRAM stack from the kernel spill area so the faulting ``xret``
         can retry.  Returns the number of records refilled."""
-        with obs.prof_frame(core, "kernel:link_refill"):
+        with probe.region(core, "kernel:link_refill"):
             core.trap(TrapCause.XPC_EXCEPTION)
             stack = thread.xpc.link_stack
             refilled = stack.unspill()
             core.tick(refilled * _LINK_SPILL_PER_RECORD)
             core.trap_return()
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter("kernel.link_refills").inc(
-                cycle=core.cycles)
+        if probe.COUNT:
+            probe.COUNT("kernel.link_refills", 1, core.cycles)
         return refilled
 
     def preempt(self, core: Core) -> None:
@@ -344,13 +328,12 @@ class BaseKernel:
         is just a normal timer trap in the callee's context — nothing
         XPC-specific needs saving beyond what the trap already saves.
         """
-        with obs.prof_frame(core, "kernel:preempt"):
+        with probe.region(core, "kernel:preempt"):
             core.trap(TrapCause.TIMER)
             core.tick(self.params.sched_pick)
             core.trap_return()
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter("kernel.preemptions").inc(
-                cycle=core.cycles)
+        if probe.COUNT:
+            probe.COUNT("kernel.preemptions", 1, core.cycles)
 
     # ------------------------------------------------------------------
     # Process termination (§4.2, §4.4)
@@ -376,18 +359,16 @@ class BaseKernel:
         mode = "lazy" if lazy else "eager"
         if lazy:
             process.aspace.page_table.zap()
-            if core is not None:
-                with obs.prof_frame(core, f"kernel:kill_{mode}"):
-                    core.tick(_KILL_ZAP_CYCLES)
+            cost = _KILL_ZAP_CYCLES
         else:
             scanned = 0
             for thread in self.threads:
                 scanned += thread.xpc.link_stack.depth
                 thread.xpc.link_stack.invalidate_records_of(process.aspace)
-            if core is not None:
-                with obs.prof_frame(core, f"kernel:kill_{mode}"):
-                    core.tick(_KILL_ZAP_CYCLES
-                              + scanned * _LINK_SCAN_PER_RECORD)
+            cost = _KILL_ZAP_CYCLES + scanned * _LINK_SCAN_PER_RECORD
+        if core is not None:
+            with probe.region(core, f"kernel:kill_{mode}"):
+                core.tick(cost)
         # Revoke the entries it served.
         for entry_id in list(process.xentries):
             entry = self.machine.xentry_table.peek(entry_id)
@@ -403,9 +384,9 @@ class BaseKernel:
                     owner is None or getattr(owner, "process", None)
                     is process):
                 self.revoke_relay_seg(seg)
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter(f"kernel.kills.{mode}").inc(
-                cycle=core.cycles if core is not None else None)
+        if probe.COUNT:
+            probe.COUNT(f"kernel.kills.{mode}", 1,
+                        core.cycles if core is not None else None)
         for hook in self.death_hooks:
             hook(process)
 
@@ -417,45 +398,38 @@ class BaseKernel:
         exactly the A→B→C recovery of §4.2.  Returns the restored record,
         or None if the whole chain is gone.
         """
-        with obs.prof_frame(core, "kernel:repair_return"):
-            return self._repair_return_body(core, thread)
-
-    def _repair_return_body(self, core: Core, thread: Thread):
-        core.trap(TrapCause.XPC_EXCEPTION)
-        stack = thread.xpc.link_stack
-        restored = None
-        while stack.depth:
-            record = stack.peek()
-            caller_dead = self._aspace_is_dead(record.caller_aspace)
-            alive = (record.valid
-                     and getattr(record.caller_thread, "alive", True)
-                     and not caller_dead)
-            if record.valid and caller_dead:
-                # A lazily-killed caller: its record is intact, so the
-                # return lands on the zapped page table and immediately
-                # faults back into the kernel (§4.2's deferred cost).
-                core.tick(self.params.trap_enter)
-            # Pop the record regardless; hardware pop semantics.
-            stack.force_pop()
-            if obs.ACTIVE is not None and record.obs_span is not None:
-                # Close the span the abandoned xcall opened: the frame
-                # never xrets, so the repair path is its only closer.
-                obs.ACTIVE.spans.end(core, record.obs_span,
-                                     repaired=True, restored=alive)
-                record.obs_span = None
-            if alive:
-                restored = record
-                break
-        if restored is not None:
-            thread.xpc.seg_reg = restored.seg_reg
-            thread.xpc.seg_mask = restored.seg_mask
-            thread.xpc.cap_bitmap = restored.caller_state
-            core.set_address_space(restored.caller_aspace)
-        core.trap_return()
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter("kernel.repairs").inc(
-                cycle=core.cycles)
-        return restored
+        with probe.region(core, "kernel:repair_return"):
+            core.trap(TrapCause.XPC_EXCEPTION)
+            stack = thread.xpc.link_stack
+            restored = None
+            while stack.depth:
+                record = stack.peek()
+                caller_dead = self._aspace_is_dead(record.caller_aspace)
+                alive = (record.valid
+                         and getattr(record.caller_thread, "alive", True)
+                         and not caller_dead)
+                if record.valid and caller_dead:
+                    # A lazily-killed caller: its record is intact, so the
+                    # return lands on the zapped page table and immediately
+                    # faults back into the kernel (§4.2's deferred cost).
+                    core.tick(self.params.trap_enter)
+                # Pop the record regardless; hardware pop semantics.
+                stack.force_pop()
+                # The abandoned frame never xrets: this pop is its return.
+                if probe.XRET:
+                    probe.XRET(core, record, repaired=True, restored=alive)
+                if alive:
+                    restored = record
+                    break
+            if restored is not None:
+                thread.xpc.seg_reg = restored.seg_reg
+                thread.xpc.seg_mask = restored.seg_mask
+                thread.xpc.cap_bitmap = restored.caller_state
+                core.set_address_space(restored.caller_aspace)
+            core.trap_return()
+            if probe.COUNT:
+                probe.COUNT("kernel.repairs", 1, core.cycles)
+            return restored
 
     def _aspace_is_dead(self, aspace: AddressSpace) -> bool:
         """Does *aspace* belong to a terminated process?"""

@@ -12,15 +12,10 @@ One :class:`ObsSession` bundles the three measurement surfaces:
   xcall chain, exportable as Chrome ``trace_event`` JSON (Perfetto);
   spans are the one timeline view of a run.
 
-Usage pattern at an instrumented site (null-sink default: the disarmed
-cost is a single global attribute check, mirroring ``repro.faults``):
-
-    import repro.obs as obs
-    ...
-    if obs.ACTIVE is not None:
-        obs.ACTIVE.pmu.add(core, "cycles.xcall.captest", 6)
-
-and in a test / benchmark driver:
+Instrumented sites do not know this package: they fire the named
+points of :mod:`repro.probe`, and an armed session subscribes to them
+(the disarmed cost is one global load and a truth test).  In a test
+or benchmark driver:
 
     with obs.active(obs.ObsSession()) as session:
         run_workload()
@@ -34,11 +29,11 @@ state, so obs-on and obs-off runs produce byte-identical cycle counts
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Optional
+from contextlib import ExitStack
+from typing import Callable, List, Optional, Tuple
 
-import repro.faults as faults
-from repro.obs.pmu import PMU, PMUSnapshot
+import repro.probe as probe
+from repro.obs.pmu import PHASE_COUNTERS, PMU, PMUSnapshot
 from repro.obs.profiler import (CycleProfiler, ProfileNode,
                                 diff_collapsed)
 from repro.obs.registry import (Counter, Gauge, Histogram,
@@ -46,15 +41,14 @@ from repro.obs.registry import (Counter, Gauge, Histogram,
 from repro.obs.span import Span, SpanTracer
 
 __all__ = [
-    "ACTIVE", "Counter", "CycleProfiler", "Gauge", "Histogram",
+    "Counter", "CycleProfiler", "Gauge", "Histogram",
     "MetricsRegistry", "ObsSession", "PMU", "PMUSnapshot",
     "ProfileNode", "Span", "SpanTracer", "active", "diff_collapsed",
-    "prof_frame",
 ]
 
-#: The installed session, or None.  Instrumented hot paths check this
-#: before doing anything, so the disarmed cost is one global load.
-ACTIVE: Optional["ObsSession"] = None
+
+def _nothing() -> None:
+    """Closer of a region that opened nothing."""
 
 
 class ObsSession:
@@ -66,28 +60,90 @@ class ObsSession:
         self.pmu = PMU()
         self.spans = SpanTracer(capacity=span_capacity)
         #: Cycle-attribution profiler, or None (the default: profiling
-        #: off adds nothing beyond the existing ACTIVE check).
+        #: off leaves the ``tick`` point unsubscribed).
         self.profiler: Optional[CycleProfiler] = (
             CycleProfiler() if profile else None)
         self.spans.profiler = self.profiler
+        #: (linkage record, span) per open xcall window, innermost
+        #: last, so the matching xret or §4.2 repair closes its span.
+        self._xcall_spans: List[Tuple[object, Span]] = []
 
-    # -- wiring (called by Machine/BaseKernel constructors) ------------
-    def on_machine(self, machine) -> None:
-        self.pmu.attach_machine(machine)
-
-    def on_kernel(self, kernel) -> None:
-        self.pmu.attach_kernel(kernel)
+    def probes(self) -> dict:
+        """The :mod:`repro.probe` points this session subscribes to."""
+        hooks = {
+            "machine": self.pmu.attach_machine,
+            "kernel": self.pmu.attach_kernel,
+            "event": self.pmu.add,
+            "phase": self._phase,
+            "xcall": self._xcall,
+            "xret": self._xret,
+            "count": self._count,
+            "gauge": self._gauge,
+            "observe": self._observe,
+            "region": self._region,
+            "fault": self._fault,
+        }
+        if self.profiler is not None:
+            hooks["tick"] = self.profiler.on_tick
+        return hooks
 
     def attach(self, machine, kernel=None) -> "ObsSession":
         """Register a machine (and kernel) built before this session
-        was installed."""
-        self.on_machine(machine)
+        was armed."""
+        self.pmu.attach_machine(machine)
         if kernel is not None:
-            self.on_kernel(kernel)
+            self.pmu.attach_kernel(kernel)
         return self
 
-    # -- fault-injection bridge (repro.faults.OBSERVER) ----------------
-    def on_fault(self, point: str, action: dict) -> None:
+    # -- probe handlers -------------------------------------------------
+    def _phase(self, core, parts) -> None:
+        """Figure 5 phases of the next tick: PMU event counters plus,
+        when profiling, the flame tree's phase children."""
+        for phase, n in parts:
+            counter = PHASE_COUNTERS.get(phase)
+            if counter is not None:
+                self.pmu.add(core, counter, n)
+        if self.profiler is not None:
+            self.profiler.phase_split(
+                core, tuple((f"phase:{phase}", n) for phase, n in parts))
+
+    def _xcall(self, core, record) -> None:
+        # The span covers the callee's execution window.
+        seg = record.passed_seg
+        span = self.spans.begin(
+            core, f"xcall#{record.callee_entry_id}", cat="engine",
+            entry=record.callee_entry_id,
+            seg_bytes=seg.length if seg.valid else 0)
+        self._xcall_spans.append((record, span))
+
+    def _xret(self, core, record, **args) -> None:
+        spans = self._xcall_spans
+        for i in range(len(spans) - 1, -1, -1):
+            if spans[i][0] is record:
+                self.spans.end(core, spans.pop(i)[1], **args)
+                return
+
+    def _count(self, name: str, n: int, cycle) -> None:
+        self.registry.counter(name).inc(n, cycle=cycle)
+
+    def _gauge(self, name: str, value, cycle) -> None:
+        self.registry.gauge(name).set(value, cycle=cycle)
+
+    def _observe(self, name: str, value, cycle) -> None:
+        self.registry.histogram(name).observe(value, cycle=cycle)
+
+    def _region(self, core, name: str, cat: Optional[str],
+                args: dict) -> Callable[[], None]:
+        if cat is not None:
+            span = self.spans.begin(core, name, cat=cat, **args)
+            return lambda: self.spans.end(core, span)
+        if self.profiler is None:
+            return _nothing
+        frame = ExitStack()
+        frame.enter_context(self.profiler.frame(core, name))
+        return frame.close
+
+    def _fault(self, point: str, action: dict) -> None:
         """An armed fault fired: count it and pin it to the timeline."""
         self.registry.counter(f"faults.injected.{point}").inc()
         self.spans.annotate(f"fault:{point}", args=action)
@@ -114,30 +170,7 @@ class ObsSession:
         return artifact
 
 
-@contextmanager
-def prof_frame(core, label: str):
-    """Open a profiler attribution frame around the block, iff the
-    installed session is profiling; free otherwise.  Instrumented
-    layers call this *after* the usual ``if obs.ACTIVE is not None``
-    guard, so the disarmed fast path never pays the generator."""
-    session = ACTIVE
-    profiler = session.profiler if session is not None else None
-    if profiler is None:
-        yield None
-        return
-    with profiler.frame(core, label):
-        yield profiler
-
-
-@contextmanager
 def active(session: ObsSession):
-    """Install *session* (and its fault observer) for the duration of
-    the block, restoring the previous ones so nested scopes compose."""
-    global ACTIVE
-    prev, prev_observer = ACTIVE, faults.OBSERVER
-    ACTIVE, faults.OBSERVER = session, session.on_fault
-    try:
-        yield session
-    finally:
-        ACTIVE = prev
-        faults.OBSERVER = prev_observer
+    """Arm *session* for the duration of the block (``probe.armed``):
+    nested scopes compose, and a session shadows any outer one."""
+    return probe.armed(session)

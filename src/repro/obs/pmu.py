@@ -10,11 +10,11 @@ that surface over the simulator:
   engine xcall/xret/swapseg/prefetch/exception counts, x-entry engine
   cache hits and misses, relay-seg transfer/shrink/swap activity, and
   the link-stack depth high-watermark;
-* **event counters** are pushed by instrumentation sites through
-  :meth:`PMU.add` — most importantly the cycles-by-phase breakdown of
-  Figure 5 (``cycles.xcall.captest`` + ``cycles.xcall.xentry`` +
-  ``cycles.xcall.linkpush`` always sums to the engine's reported
-  ``xcall.cycles``).
+* **event counters** arrive through the ``event`` and ``phase`` probe
+  points (:meth:`PMU.add`) — most importantly the cycles-by-phase
+  breakdown of Figure 5 (``cycles.xcall.captest`` +
+  ``cycles.xcall.xentry`` + ``cycles.xcall.linkpush`` always sums to
+  the engine's reported ``xcall.cycles``).
 
 The PMU never charges cycles and never mutates simulator state; reads
 are free, exactly like the memory-mapped counter reads the paper's
@@ -29,6 +29,14 @@ from typing import Dict, List, Optional
 #: Counter names reported as *levels* (sampled raw, never
 #: baseline-subtracted by reset): high-watermarks and populations.
 LEVEL_SUFFIXES = (".hwm", ".depth", ".alive", ".queued")
+
+
+#: ``phase`` probe point phase -> its event counter.  ``xret`` has none:
+#: the derived ``xret.cycles`` counter already is its total.
+PHASE_COUNTERS = {
+    "captest": "cycles.xcall.captest", "xentry": "cycles.xcall.xentry",
+    "linkpush": "cycles.xcall.linkpush", "trampoline": "cycles.trampoline",
+    "cstack": "cycles.cstack"}
 
 
 def _is_level(name: str) -> bool:
@@ -158,8 +166,8 @@ class _KernelBank:
 class PMU:
     """The machine-wide PMU: one bank per core plus kernel banks.
 
-    Cores register through :meth:`attach_machine` (called automatically
-    by :class:`~repro.hw.machine.Machine` while a session is active) or
+    Cores register through :meth:`attach_machine` (the ``machine``
+    probe point, fired by :class:`~repro.hw.machine.Machine`) or
     lazily on the first :meth:`add` for an unknown core.
     """
 

@@ -9,17 +9,18 @@ window (:meth:`CycleProfiler.complete` asserts exactly that).
 
 Attribution context comes from three sources, all free when disarmed:
 
-* **frames** — instrumented layers open a frame around a causal unit of
-  work (``xpclib:call#3``, ``kernel:link_spill``); frames nest per core,
-  forming the call path;
+* **frames** — instrumented layers open a ``probe.region`` around a
+  causal unit of work (``xpclib:call#3``, ``kernel:link_spill``);
+  frames nest per core, forming the call path;
 * **the span bridge** — every :class:`~repro.obs.span.SpanTracer` span
   begin/end also pushes/pops a profiler frame, so the existing span
   instrumentation (engine xcall windows, service handlers, fs/net ops)
   shapes the flame tree with no extra hooks;
 * **phase splits** — a charge site that knows a finer decomposition of
   its next ``tick`` (the engine's Figure 5 ladder: captest + xentry +
-  linkpush) registers it just before charging, and the cycles land in
-  per-phase leaf children instead of the frame's self bucket.
+  linkpush) fires the ``phase`` probe point just before charging, and
+  the cycles land in per-phase leaf children instead of the frame's
+  self bucket.
 
 Cycles charged with no frame open fall into the per-core root node, so
 nothing is ever lost — the collapsed-stack export (`flamegraph.pl` /
@@ -33,7 +34,7 @@ cycle-identical (``tests/integration/test_observer_neutrality.py``).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class ProfileNode:
@@ -72,8 +73,8 @@ class ProfileNode:
 class CycleProfiler:
     """Per-core attribution stacks over the single charging primitive.
 
-    ``on_tick`` is called by :meth:`repro.hw.cpu.Core.tick` whenever a
-    session with a profiler is installed; everything else is free
+    ``on_tick`` is the ``tick`` probe point's handler while a session
+    with a profiler is armed; everything else is free
     bookkeeping around it.  Stacks are keyed by ``core_id`` (stable
     across snapshot/restore, unlike ``id(core)``), so a deepcopied
     profiler keeps attributing against the copied machine.  Clocks are
@@ -168,7 +169,7 @@ class CycleProfiler:
         self._ensure(core)
         self._splits[core.core_id] = parts
 
-    # -- the hook Core.tick calls ---------------------------------------
+    # -- the tick probe point -------------------------------------------
     def on_tick(self, core, cycles: int) -> None:
         """Attribute *cycles* (already added to ``core.cycles``)."""
         if not cycles:

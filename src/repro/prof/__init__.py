@@ -1,8 +1,8 @@
 """repro.prof — profiling, SLOs, and the perf regression sentry.
 
 Built on :mod:`repro.obs` (which owns the in-simulation
-:class:`~repro.obs.profiler.CycleProfiler`, so the hw layer can call
-it) and :mod:`repro.snap` (whose record/replay stack powers the
+:class:`~repro.obs.profiler.CycleProfiler`, fed by the ``tick`` probe
+point) and :mod:`repro.snap` (whose record/replay stack powers the
 bisecting sentry).  Three surfaces:
 
 * **cycle flames** — run a scenario under ``ObsSession(profile=True)``

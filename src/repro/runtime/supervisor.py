@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.kernel.kernel import BaseKernel
 from repro.runtime.xpclib import (XPCBusyError, XPCService,
@@ -151,9 +151,8 @@ class ServiceSupervisor:
             self.kernel.kill_process(sup.process, core=self.core)
         sup.failed = True
         sup.events.append(f"retired at gen={sup.generation}")
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter(
-                f"supervisor.retired.{name}").inc(cycle=self.core.cycles)
+        if probe.COUNT:
+            probe.COUNT(f"supervisor.retired.{name}", 1, self.core.cycles)
         for listener in self.on_retire:
             listener(name, service)
 
@@ -166,22 +165,21 @@ class ServiceSupervisor:
             if sup.restarts >= sup.policy.max_restarts:
                 sup.failed = True
                 sup.events.append("gave up: restart budget exhausted")
-                if obs.ACTIVE is not None:
-                    obs.ACTIVE.registry.counter(
-                        f"supervisor.gave_up.{sup.name}").inc(
-                            cycle=self.core.cycles)
+                if probe.COUNT:
+                    probe.COUNT(f"supervisor.gave_up.{sup.name}", 1,
+                                self.core.cycles)
                 continue
             sup.restarts += 1
             delay = sup.policy.backoff(sup.restarts)
             self.core.tick(delay)
             sup.events.append(f"restart #{sup.restarts} after "
                               f"{delay} cycles")
-            if obs.ACTIVE is not None:
-                registry = obs.ACTIVE.registry
-                registry.counter(f"supervisor.restarts.{sup.name}").inc(
-                    cycle=self.core.cycles)
-                registry.histogram("supervisor.backoff_cycles").observe(
-                    delay, cycle=self.core.cycles)
+            if probe.COUNT:
+                probe.COUNT(f"supervisor.restarts.{sup.name}", 1,
+                            self.core.cycles)
+            if probe.OBSERVE:
+                probe.OBSERVE("supervisor.backoff_cycles", delay,
+                              self.core.cycles)
             self._start(sup)
             for listener in self.on_restart:
                 listener(sup.name, sup.service)
@@ -225,19 +223,6 @@ class ConstRef:
 
     def __call__(self):
         return self.value
-
-
-class ThreadRef:
-    """Callable resolving a supervised service's *current* thread —
-    a grant supplier that tracks restarts (see :class:`ConstRef` for
-    why this is a class)."""
-
-    def __init__(self, supervisor: "ServiceSupervisor", name: str) -> None:
-        self.supervisor = supervisor
-        self.name = name
-
-    def __call__(self):
-        return self.supervisor.thread(self.name)
 
 
 class EntryRef:

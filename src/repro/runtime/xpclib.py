@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 import repro.faults as faults
-import repro.obs as obs
+import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.kernel.kernel import BaseKernel
 from repro.kernel.process import Thread
@@ -157,9 +157,8 @@ class XPCService:
                                             self.credits_per_caller)
             if left <= 0:
                 self.rejected += 1
-                if obs.ACTIVE is not None:
-                    obs.ACTIVE.registry.counter(
-                        f"xpc.busy.{self.name}").inc(cycle=core.cycles)
+                if probe.COUNT:
+                    probe.COUNT(f"xpc.busy.{self.name}", 1, core.cycles)
                 raise XPCBusyError(f"{self.name}: caller out of credits")
             self._credits[caller_id] = left - 1
         for ctx in self.contexts:
@@ -174,9 +173,8 @@ class XPCService:
                     ctx.in_use = True
                     return ctx
         self.rejected += 1
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.registry.counter(
-                f"xpc.busy.{self.name}").inc(cycle=core.cycles)
+        if probe.COUNT:
+            probe.COUNT(f"xpc.busy.{self.name}", 1, core.cycles)
         raise XPCBusyError(f"{self.name}: no idle XPC context")
 
     def _release_context(self, ctx: XPCContext, caller_id) -> None:
@@ -195,21 +193,14 @@ class XPCService:
         trampoline_cycles = (params.trampoline_partial_ctx
                              if self.partial_context
                              else params.trampoline_full_ctx)
-        if obs.ACTIVE is not None and obs.ACTIVE.profiler is not None:
-            obs.ACTIVE.profiler.phase_split(
-                core, (("phase:trampoline", trampoline_cycles),))
+        if probe.PHASE:
+            probe.PHASE(core, (("trampoline", trampoline_cycles),))
         core.tick(trampoline_cycles)
         caller_id = engine.caller_id_reg
         ctx = self._acquire_context(core, caller_id)
-        if obs.ACTIVE is not None and obs.ACTIVE.profiler is not None:
-            obs.ACTIVE.profiler.phase_split(
-                core, (("phase:cstack", params.cstack_switch),))
+        if probe.PHASE:
+            probe.PHASE(core, (("cstack", params.cstack_switch),))
         core.tick(params.cstack_switch)
-        if obs.ACTIVE is not None:
-            obs.ACTIVE.pmu.add(core, "cycles.trampoline",
-                               trampoline_cycles)
-            obs.ACTIVE.pmu.add(core, "cycles.cstack",
-                               params.cstack_switch)
         if faults.ACTIVE is not None:
             act = faults.fire("kernel.preempt")
             if act is not None:
@@ -218,11 +209,8 @@ class XPCService:
             if act is not None:
                 self._release_context(ctx, caller_id)
                 self._injected_crash(act)
-        span = None
-        if obs.ACTIVE is not None:
-            span = obs.ACTIVE.spans.begin(
-                core, f"handler:{self.name}", cat="runtime",
-                entry=entry.entry_id)
+        closers = probe.REGION and probe.REGION(
+            core, f"handler:{self.name}", "runtime", {"entry": entry.entry_id})
         try:
             self.calls += 1
             call = XPCCallContext(
@@ -232,8 +220,9 @@ class XPCService:
             result = self.handler(call)
         finally:
             self._release_context(ctx, caller_id)
-            if span is not None and obs.ACTIVE is not None:
-                obs.ACTIVE.spans.end(core, span)
+            if closers:
+                for close in closers:
+                    close()
         if faults.ACTIVE is not None:
             act = faults.fire("xpc.callee_crash_before_xret")
             if act is not None:
@@ -339,60 +328,53 @@ def xpc_call(core: Core, entry_id: int, *args,
     systems usually set this to 0 or infinite; it exists for fault
     isolation).
     """
-    session = obs.ACTIVE
-    profiler = session.profiler if session is not None else None
-    if profiler is None:
-        return _xpc_call_body(core, entry_id, args, mask, kernel,
-                              timeout_cycles)
-    with profiler.frame(core, f"xpclib:call#{entry_id}"):
-        return _xpc_call_body(core, entry_id, args, mask, kernel,
-                              timeout_cycles)
-
-
-def _xpc_call_body(core: Core, entry_id: int, args,
-                   mask: Optional[SegMask],
-                   kernel: Optional[BaseKernel],
-                   timeout_cycles: Optional[int]):
-    engine = core.xpc_engine
-    if engine is None:
-        raise XPCError("core has no XPC engine")
-    call_start = core.cycles
-    if mask is not None:
-        engine.write_seg_mask(mask)
-    entry, window = _xcall_with_spill(core, engine, entry_id, kernel)
-    # From here exactly one linkage record is ours to unwind.
-    result = None
-    crashed: Optional[BaseException] = None
-    failure: Optional[BaseException] = None
-    start = core.cycles
+    closers = probe.REGION and probe.REGION(
+        core, f"xpclib:call#{entry_id}", None, {})
     try:
-        result = entry.handler(core, engine, entry, window, args)
-    except faults.ProcessCrashFault as exc:
-        crashed = exc
-    except Exception as exc:          # noqa: BLE001 - re-raised below
-        failure = exc
-    timed_out = None
-    if timeout_cycles is not None:
-        used = core.cycles - start
-        if used > timeout_cycles:
-            timed_out = XPCTimeoutError(timeout_cycles, used)
-    died = _unwind(core, engine, kernel)
-    if obs.ACTIVE is not None:
-        registry = obs.ACTIVE.registry
-        registry.histogram("xpc.call_cycles").observe(
-            core.cycles - call_start, cycle=core.cycles)
+        engine = core.xpc_engine
+        if engine is None:
+            raise XPCError("core has no XPC engine")
+        call_start = core.cycles
+        if mask is not None:
+            engine.write_seg_mask(mask)
+        entry, window = _xcall_with_spill(core, engine, entry_id, kernel)
+        # From here exactly one linkage record is ours to unwind.
+        result = None
+        crashed: Optional[BaseException] = None
+        failure: Optional[BaseException] = None
+        start = core.cycles
+        try:
+            result = entry.handler(core, engine, entry, window, args)
+        except faults.ProcessCrashFault as exc:
+            crashed = exc
+        except Exception as exc:          # noqa: BLE001 - re-raised below
+            failure = exc
+        timed_out = None
+        if timeout_cycles is not None:
+            used = core.cycles - start
+            if used > timeout_cycles:
+                timed_out = XPCTimeoutError(timeout_cycles, used)
+        died = _unwind(core, engine, kernel)
+        if probe.OBSERVE:
+            probe.OBSERVE("xpc.call_cycles", core.cycles - call_start,
+                          core.cycles)
+        if probe.COUNT:
+            if died or crashed is not None:
+                probe.COUNT("xpc.peer_died", 1, core.cycles)
+            if timed_out is not None:
+                probe.COUNT("xpc.timeouts", 1, core.cycles)
         if died or crashed is not None:
-            registry.counter("xpc.peer_died").inc(cycle=core.cycles)
+            err = XPCPeerDiedError(entry_id)
+            cause = crashed if crashed is not None else failure
+            if cause is not None:
+                raise err from cause
+            raise err
+        if failure is not None:
+            raise failure
         if timed_out is not None:
-            registry.counter("xpc.timeouts").inc(cycle=core.cycles)
-    if died or crashed is not None:
-        err = XPCPeerDiedError(entry_id)
-        cause = crashed if crashed is not None else failure
-        if cause is not None:
-            raise err from cause
-        raise err
-    if failure is not None:
-        raise failure
-    if timed_out is not None:
-        raise timed_out
-    return result
+            raise timed_out
+        return result
+    finally:
+        if closers:
+            for close in closers:
+                close()

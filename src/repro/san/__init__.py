@@ -21,10 +21,11 @@ The model is an epoch-based access log:
   protocol cannot explain — reported as a :class:`SanIssue` carrying
   both access sites (file:line precise).
 
-Like :mod:`repro.obs`, the sanitizer is a pure observer behind one
-global: instrumented sites do nothing but ``san.ACTIVE is not None``
-when disarmed, and even armed it never calls ``tick`` or mutates
-simulator state, so XPCSan-on runs are cycle-identical to XPCSan-off
+Like :mod:`repro.obs`, the sanitizer is a pure observer on the
+:mod:`repro.probe` bus: it subscribes to the ``handoff`` and
+``access`` points, which cost a truth test when disarmed, and even
+armed it never calls ``tick`` or mutates simulator state, so
+XPCSan-on runs are cycle-identical to XPCSan-off
 (``tests/integration/test_observer_neutrality.py`` proves it).  Arm it
 per scope::
 
@@ -40,18 +41,14 @@ the chaos suite arms one around every test.
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
+
+import repro.probe as probe
 
 __all__ = [
-    "ACTIVE", "SanAccess", "SanIssue", "SanSession", "active",
-    "format_issues",
+    "SanAccess", "SanIssue", "SanSession", "active", "format_issues",
 ]
-
-#: The installed session, or None.  Instrumented hot paths check this
-#: before doing anything, so the disarmed cost is one global load.
-ACTIVE: Optional["SanSession"] = None
 
 
 @dataclass(frozen=True)
@@ -86,8 +83,12 @@ class SanIssue:
                 f"run_thread) between them")
 
 
-def _caller_location(depth: int = 2) -> str:
-    frame = sys._getframe(depth)
+def _caller_location() -> str:
+    """``file:line`` of the code that reported an access: the caller of
+    :meth:`SanSession.access`, past the probe bus's dispatch frame."""
+    frame = sys._getframe(2)
+    if frame.f_code is probe.Point.__call__.__code__:
+        frame = frame.f_back
     return f"{frame.f_code.co_filename}:{frame.f_lineno}"
 
 
@@ -155,6 +156,10 @@ class SanSession:
         bookkeeping a restore legitimately resets."""
         return ("SanSession", self.accesses, self.handoffs,
                 len(self.issues))
+
+    def probes(self) -> dict:
+        """The :mod:`repro.probe` points this session subscribes to."""
+        return {"handoff": self.handoff, "access": self.access}
 
     # -- resource identity --------------------------------------------
     def _key(self, obj: object, label: str) -> tuple:
@@ -235,13 +240,7 @@ def format_issues(issues: List[SanIssue]) -> str:
     return "\n".join(lines)
 
 
-@contextmanager
 def active(session: SanSession):
-    """Install *session* for the duration of the block (restoring the
-    previous session, so nested scopes compose)."""
-    global ACTIVE
-    prev, ACTIVE = ACTIVE, session
-    try:
-        yield session
-    finally:
-        ACTIVE = prev
+    """Arm *session* for the duration of the block (``probe.armed``):
+    nested scopes compose, and a session shadows any outer one."""
+    return probe.armed(session)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.ipc.transport import Payload, RelayPayload, Transport
 from repro.services.crypto.aes import AES128
 
@@ -30,19 +30,9 @@ class CryptoServer:
 
     def _handle(self, meta: tuple, payload: Payload):
         op = meta[0]
-        if obs.ACTIVE is None:
+        with probe.region(self.transport.current_core, f"crypto:{op}",
+                          "service", timer=f"crypto.op_cycles.{op}"):
             return self._dispatch(op, meta, payload)
-        core = self.transport.current_core
-        span = obs.ACTIVE.spans.begin(core, f"crypto:{op}",
-                                      cat="service")
-        start = core.cycles
-        try:
-            return self._dispatch(op, meta, payload)
-        finally:
-            obs.ACTIVE.registry.histogram(
-                f"crypto.op_cycles.{op}").observe(
-                    core.cycles - start, cycle=core.cycles)
-            obs.ACTIVE.spans.end(core, span)
 
     def _dispatch(self, op, meta: tuple, payload: Payload):
         n, nonce = meta[1], meta[2]

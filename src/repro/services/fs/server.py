@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.aio.pool import WorkerPool
 from repro.ipc.transport import Payload, RelayPayload, Transport
 from repro.runtime.supervisor import GrantOnRestart
@@ -88,17 +88,9 @@ class FSServer:
     # ------------------------------------------------------------------
     def _handle(self, meta: tuple, payload: Payload):
         op = meta[0]
-        if obs.ACTIVE is None:
+        with probe.region(self.core, f"fs:{op}", "service",
+                          timer=f"fs.op_cycles.{op}"):
             return self._dispatch(op, meta, payload)
-        span = obs.ACTIVE.spans.begin(self.core, f"fs:{op}",
-                                      cat="service")
-        start = self.core.cycles
-        try:
-            return self._dispatch(op, meta, payload)
-        finally:
-            obs.ACTIVE.registry.histogram(f"fs.op_cycles.{op}").observe(
-                self.core.cycles - start, cycle=self.core.cycles)
-            obs.ACTIVE.spans.end(self.core, span)
 
     def _dispatch(self, op, meta: tuple, payload: Payload):
         self.core.tick(FS_LOGIC_CYCLES)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-import repro.obs as obs
+import repro.probe as probe
 from repro.aio.pool import WorkerPool
 from repro.ipc.transport import Payload, RelayPayload, Transport
 from repro.runtime.supervisor import GrantOnRestart
@@ -60,17 +60,9 @@ class NetServer:
 
     def _handle(self, meta: tuple, payload: Payload):
         op = meta[0]
-        if obs.ACTIVE is None:
+        with probe.region(self.transport.current_core, f"net:{op}",
+                          "service", timer=f"net.op_cycles.{op}"):
             return self._dispatch(op, meta, payload)
-        core = self.transport.current_core
-        span = obs.ACTIVE.spans.begin(core, f"net:{op}", cat="service")
-        start = core.cycles
-        try:
-            return self._dispatch(op, meta, payload)
-        finally:
-            obs.ACTIVE.registry.histogram(f"net.op_cycles.{op}").observe(
-                core.cycles - start, cycle=core.cycles)
-            obs.ACTIVE.spans.end(core, span)
 
     def _dispatch(self, op, meta: tuple, payload: Payload):
         stack = self.stack

@@ -19,14 +19,14 @@ Two shapes cover the stack:
   tests), whose ops are module-level callables ``op(world) ->
   outcome`` so a recorded op list replays against any restored copy.
 
-``step`` is the only way a world advances, and each step installs the
+``step`` is the only way a world advances, and each step arms the
 world's own obs/faults sessions around the op.  That makes the op
 boundary a quiescent point: everything context-managed during an op is
 torn back down before a checkpoint is taken, so a restored world
 resumes with plain ``step`` calls and no ambient globals to rebuild.
-If an outer driver already installed this world's obs session (the
-chaos harness does, so :class:`~repro.snap.chaos.PreFaultSnapper` can
-chain the fault observer), ``step`` leaves it in place.
+Arming a session an outer driver already armed changes nothing, so a
+:class:`~repro.snap.chaos.PreFaultSnapper` armed inside it still hears
+each fault first.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import Callable, List, Optional, Sequence
 
 import repro.faults as faults
 import repro.obs as obs
+import repro.probe as probe
 
 
 class ExecutorWorld:
@@ -72,10 +73,7 @@ class ExecutorWorld:
         """Run one grammar op; record outcome and per-op deltas."""
         cycles0 = self.executor.core.cycles
         ipc0 = self.executor._ipc_total()
-        if self.obs is not None and obs.ACTIVE is not self.obs:
-            with obs.active(self.obs):
-                outcome = self.executor.step(op)
-        else:
+        with probe.armed(self.obs):
             outcome = self.executor.step(op)
         self.outcomes.append(outcome)
         self.op_cycles.append(self.executor.core.cycles - cycles0)
@@ -102,8 +100,8 @@ class SimWorld:
     * ``plan`` — a :class:`~repro.faults.FaultPlan` installed around
       every op (per-op arming is trace-identical to whole-run arming:
       nothing fires between ops);
-    * ``obs`` — an :class:`~repro.obs.ObsSession` installed around
-      every op (unless an outer driver already installed it);
+    * ``obs`` — an :class:`~repro.obs.ObsSession` armed around every
+      op;
     * ``core`` — the core whose cycle counter stamps snapshots.
 
     Deliberately *not* ``__snap_state__``-disciplined: open attributes
@@ -132,16 +130,11 @@ class SimWorld:
         return outcome
 
     def _execute(self, op):
-        if self.obs is not None and obs.ACTIVE is not self.obs:
-            with obs.active(self.obs):
-                return self._execute_faulted(op)
-        return self._execute_faulted(op)
-
-    def _execute_faulted(self, op):
-        if self.plan is not None:
+        with probe.armed(self.obs):
+            if self.plan is None:
+                return op(self)
             with faults.active(self.plan):
                 return op(self)
-        return op(self)
 
     def run(self, ops: Sequence) -> List[object]:
         return [self.step(op) for op in ops]

@@ -36,48 +36,45 @@ from typing import Iterator, List, Optional
 from repro.verify.lint import LintViolation, ModuleInfo, Rule
 
 #: unit -> units it may import (its own unit is always allowed).
-#: ``faults`` sits beside ``params`` at the bottom: it is pure policy
-#: (seeded decisions + trace recording) with no simulator dependencies,
-#: so every layer may consult it at its instrumented fault points.
+#: ``faults`` (pure policy: seeded decisions + trace recording) and
+#: ``probe`` (the observation bus) sit beside ``params`` at the bottom,
+#: so every layer may consult a fault plan or fire a probe point.
 ALLOWED_IMPORTS = {
     "params": set(),
-    "faults": set(),
+    "probe": set(),
+    "faults": {"probe"},
     # The table-driven fast core sits beside ``params`` at the bottom:
     # it precomputes cycle tables from CycleParams and must never see
     # the reference stack it re-implements.  No reference unit lists
     # it, and only proptest (the equivalence gate) may import it; a
     # tier-1 test pins both facts.
     "fastcore": {"params"},
-    "hw": {"params", "faults", "obs", "san"},
-    "xpc": {"hw", "params", "faults", "obs", "san"},
-    "kernel": {"xpc", "hw", "params", "faults", "obs", "san"},
-    "runtime": {"kernel", "xpc", "hw", "params", "faults", "obs", "san"},
-    "ipc": {"runtime", "kernel", "xpc", "hw", "params", "faults", "obs",
-            "san"},
+    "hw": {"params", "faults", "probe"},
+    "xpc": {"hw", "params", "faults", "probe"},
+    "kernel": {"xpc", "hw", "params", "faults", "probe"},
+    "runtime": {"kernel", "xpc", "hw", "params", "faults", "probe"},
+    "ipc": {"runtime", "kernel", "xpc", "hw", "params", "faults", "probe"},
     "sel4": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "faults",
-             "obs", "san"},
+             "probe"},
     "zircon": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "faults",
-               "obs", "san"},
+               "probe"},
     "binder": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "faults",
-               "obs", "san"},
+               "probe"},
     "services": {"aio", "ipc", "runtime", "kernel", "xpc", "hw", "params",
-                 "faults", "analysis", "obs", "san"},
+                 "faults", "analysis", "probe"},
     # Async/batched XPC sits between ipc and services: it builds on the
     # transport's payload surface and the runtime library, and the
     # service servers adopt it for their batched front-ends.
     "aio": {"ipc", "runtime", "kernel", "xpc", "hw", "params", "faults",
-            "obs", "san"},
+            "probe"},
     "apps": {"services", "ipc", "runtime", "kernel", "xpc", "hw", "params",
-             "faults", "obs", "san"},
+             "faults", "probe"},
     # Side packages: measurement and analysis tooling.
-    # ``obs`` sits beside ``faults`` at the bottom: a pure observer
-    # (counters, spans, PMU sampling) that never charges cycles, so
-    # every layer may report into it at its instrumentation sites.
-    "obs": {"params", "faults", "analysis"},
-    # ``san`` (XPCSan) is another bottom-layer pure observer: the
-    # instrumented layers report ownership handoffs and per-core
-    # accesses into it, and it depends on nothing.
-    "san": set(),
+    # ``obs`` (counters, spans, PMU sampling, the profiler) and ``san``
+    # (XPCSan) are observers: they subscribe to probe points, never
+    # charge cycles, and nothing on the simulated stack imports them.
+    "obs": {"params", "analysis", "probe"},
+    "san": {"probe"},
     "analysis": {"params"},
     "gem5": {"params", "hw"},
     "hwcost": {"params"},
@@ -100,13 +97,13 @@ ALLOWED_IMPORTS = {
     # layer.
     "snap": {"proptest", "verify", "compare", "aio", "ipc", "sel4",
              "zircon", "services", "runtime", "kernel", "xpc", "hw",
-             "params", "faults", "obs", "san", "analysis"},
+             "params", "faults", "obs", "san", "probe", "analysis"},
     # Profiling/SLO/sentry tooling sits above snap: the sentry drives
     # recorders and time travel, host profiling drives the proptest
     # fleet, and the flame CLI runs snap scenarios.  The in-simulation
-    # CycleProfiler itself lives in repro.obs (the hw layer must reach
-    # it from Core.tick); aio consumes the SLO engine duck-typed, so
-    # nothing below imports repro.prof.
+    # CycleProfiler itself lives in repro.obs (it hears Core.tick
+    # through the tick probe point); aio consumes the SLO engine
+    # duck-typed, so nothing below imports repro.prof.
     "prof": {"snap", "proptest", "verify", "compare", "aio", "ipc",
              "sel4", "zircon", "services", "runtime", "kernel", "xpc",
              "hw", "params", "faults", "obs", "san", "analysis"},

@@ -4,7 +4,7 @@ The observability layer stays trustworthy only if every measurement
 flows through its sanctioned surfaces — ``Counter.inc`` /
 ``Gauge.set`` / ``Histogram.observe`` / ``PMU.add`` — which stamp the
 cycle clock and keep snapshot/delta/reset semantics coherent.  Code
-that pokes counter state directly (``obs.ACTIVE.registry.counter("x")
+that pokes counter state directly (``session.registry.counter("x")
 .value += 1``, rebinding ``session.pmu.banks``...) silently corrupts
 deltas and percentiles without failing any functional test.
 
@@ -13,11 +13,11 @@ Concretely, outside ``repro.obs`` this rule forbids assignments
 attribute reached through an obs surface:
 
 * any write through an attribute chain mentioning ``registry``,
-  ``pmu``, ``spans``, or ``ACTIVE`` (the session surfaces); or
+  ``pmu`` or ``spans`` (the session surfaces); or
 * any write to a metric-container attribute itself (``counters``,
   ``gauges``, ``histograms``, ``banks``, ``_metrics``, ...).
 
-Local aliases (``registry = obs.ACTIVE.registry``) are reads and stay
+Local aliases (``registry = session.registry``) are reads and stay
 legal; only mutation through the alias's attributes is flagged.  The
 usual ``# verify-ok: obs-discipline`` pragma suppresses a site.
 """
@@ -37,7 +37,7 @@ OBS_CONTAINERS = frozenset({
 })
 
 #: The obs session surfaces instrumentation reaches metrics through.
-OBS_SURFACES = frozenset({"registry", "pmu", "spans", "ACTIVE"})
+OBS_SURFACES = frozenset({"registry", "pmu", "spans"})
 
 
 def _flagged_writes(node: ast.AST):

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-import repro.obs as obs
-import repro.san as san
+import repro.probe as probe
 from repro.hw.cpu import Core
 from repro.hw.paging import PagePerm
 from repro.params import SEG_MASK_WRITE, XCALL_CAPTEST_FLOOR
@@ -176,9 +175,8 @@ class XPCEngine:
         outgoing = state.seg_reg
         if outgoing.valid:
             outgoing.segment.active_owner = None
-            if san.ACTIVE is not None:
-                san.ACTIVE.handoff(outgoing.segment, "relay-seg",
-                                   via="swapseg-out")
+            if probe.HANDOFF:
+                probe.HANDOFF(outgoing.segment, "relay-seg", "swapseg-out")
         incoming = state.seg_list.swap(index, outgoing)
         if incoming.valid:
             seg = incoming.segment
@@ -192,8 +190,8 @@ class XPCEngine:
                     "relay segment is active on another thread/core"
                 )
             seg.active_owner = self.current_thread
-            if san.ACTIVE is not None:
-                san.ACTIVE.handoff(seg, "relay-seg", via="swapseg-in")
+            if probe.HANDOFF:
+                probe.HANDOFF(seg, "relay-seg", "swapseg-in")
         state.seg_reg = incoming
         state.seg_mask = NO_MASK
         self.stats.swapsegs += 1
@@ -267,9 +265,9 @@ class XPCEngine:
             self._account_xcall(cycles, xentry_cycles, 0)
             self.core.tick(cycles)
             raise
-        if san.ACTIVE is not None:
-            san.ACTIVE.access(self.core, state.link_stack, "link-stack",
-                              "xpc.engine.xcall.push", "write")
+        if probe.ACCESS:
+            probe.ACCESS(self.core, state.link_stack, "link-stack",
+                         "xpc.engine.xcall.push", "write")
         linkpush_cycles = (self.params.link_push_nonblocking
                            if self.config.nonblocking_linkstack
                            else self.params.link_push)
@@ -287,8 +285,8 @@ class XPCEngine:
             seg.active_owner = self.current_thread
             self.stats.seg_bytes_passed += passed_seg.length
             self.stats.seg_transfers += 1
-            if san.ACTIVE is not None:
-                san.ACTIVE.handoff(seg, "relay-seg", via="xcall")
+            if probe.HANDOFF:
+                probe.HANDOFF(seg, "relay-seg", "xcall")
         self.caller_id_reg = state.cap_bitmap
         state.seg_reg = passed_seg
         state.seg_mask = NO_MASK
@@ -299,32 +297,25 @@ class XPCEngine:
         self.core.set_address_space(entry.aspace)
         entry.invocations += 1
         self.stats.xcalls += 1
-        if obs.ACTIVE is not None:
-            # The span covers the callee's execution window; the record
-            # carries it so the matching xret — or the kernel's §4.2
-            # repair path — closes exactly this span.
-            record.obs_span = obs.ACTIVE.spans.begin(
-                self.core, f"xcall#{entry_id}", cat="engine",
-                entry=entry_id,
-                seg_bytes=passed_seg.length if passed_seg.valid else 0)
+        if probe.XCALL:
+            probe.XCALL(self.core, record)
         return entry, passed_seg
 
     def xret(self) -> LinkageRecord:
         """Execute ``xret``: pop, validate, restore the caller."""
         state = self._require_state()
         self.stats.xret_cycles += self.params.xret_base
-        if obs.ACTIVE is not None and obs.ACTIVE.profiler is not None:
-            obs.ACTIVE.profiler.phase_split(self.core, (
-                ("phase:xret", self.params.xret_base),))
+        if probe.PHASE:
+            probe.PHASE(self.core, (("xret", self.params.xret_base),))
         self.core.tick(self.params.xret_base)
         try:
             record = state.link_stack.pop()
         except XPCError:
             self.stats.exceptions += 1
             raise
-        if san.ACTIVE is not None:
-            san.ACTIVE.access(self.core, state.link_stack, "link-stack",
-                              "xpc.engine.xret.pop", "write")
+        if probe.ACCESS:
+            probe.ACCESS(self.core, state.link_stack, "link-stack",
+                         "xpc.engine.xret.pop", "write")
         # Relay-seg integrity: the callee must return exactly the window
         # it was handed (§3.3 "Return a relay-seg").  A window the kernel
         # revoked mid-call (§4.4) is exempt: revocation scrubs seg-reg
@@ -352,19 +343,16 @@ class XPCEngine:
             state.seg_list = record.caller_seg_list
         if restored.valid:
             restored.segment.active_owner = record.caller_thread
-            if san.ACTIVE is not None:
-                san.ACTIVE.handoff(restored.segment, "relay-seg",
-                                   via="xret")
-        if (san.ACTIVE is not None and record.passed_seg.valid
-                and record.passed_seg.segment is not
-                (restored.segment if restored.valid else None)):
-            san.ACTIVE.handoff(record.passed_seg.segment, "relay-seg",
-                               via="xret")
+        if probe.HANDOFF:
+            if restored.valid:
+                probe.HANDOFF(restored.segment, "relay-seg", "xret")
+            if (record.passed_seg.valid and record.passed_seg.segment
+                    is not (restored.segment if restored.valid else None)):
+                probe.HANDOFF(record.passed_seg.segment, "relay-seg", "xret")
         self.core.set_address_space(record.caller_aspace)
         self.stats.xrets += 1
-        if obs.ACTIVE is not None and record.obs_span is not None:
-            obs.ACTIVE.spans.end(self.core, record.obs_span)
-            record.obs_span = None
+        if probe.XRET:
+            probe.XRET(self.core, record)
         return record
 
     # ------------------------------------------------------------------
@@ -397,19 +385,11 @@ class XPCEngine:
         (captest + xentry + linkpush == cycles).  Pure accounting — the
         caller charges the clock (single-charger discipline)."""
         self.stats.xcall_cycles += cycles
-        if obs.ACTIVE is not None:
-            pmu = obs.ACTIVE.pmu
-            captest_cycles = cycles - xentry_cycles - linkpush_cycles
-            pmu.add(self.core, "cycles.xcall.captest", captest_cycles)
-            pmu.add(self.core, "cycles.xcall.xentry", xentry_cycles)
-            pmu.add(self.core, "cycles.xcall.linkpush", linkpush_cycles)
-            if obs.ACTIVE.profiler is not None:
-                # The caller's next tick is this xcall's lump charge;
-                # decompose it into the Fig. 5 phases in the flame tree.
-                obs.ACTIVE.profiler.phase_split(self.core, (
-                    ("phase:captest", captest_cycles),
-                    ("phase:xentry", xentry_cycles),
-                    ("phase:linkpush", linkpush_cycles)))
+        # The caller's next tick is this xcall's lump charge.
+        if probe.PHASE:
+            probe.PHASE(self.core, (
+                ("captest", cycles - xentry_cycles - linkpush_cycles),
+                ("xentry", xentry_cycles), ("linkpush", linkpush_cycles)))
 
     # ------------------------------------------------------------------
     def _require_state(self) -> XPCThreadState:

@@ -49,7 +49,6 @@ class LinkageRecord:
     caller_seg_list: object = None  # caller's seg-list-reg (§3.2)
     valid: bool = True
     return_token: object = None     # opaque continuation for the runtime
-    obs_span: object = None         # open obs span this record will close
 
 
 class LinkStack:

@@ -3,7 +3,7 @@
 import repro.obs as obs
 from repro.hw.machine import Machine
 from repro.kernel.kernel import BaseKernel
-from repro.runtime.xpclib import XPCService, xpc_call
+from repro.runtime.xpclib import XPCBusyError, XPCService, xpc_call
 
 MEM = 64 * 1024 * 1024
 
@@ -106,6 +106,29 @@ def test_fig5_phase_breakdown_sums_to_engine_xcall_cycles():
                   + bank["cycles.xcall.xentry"]
                   + bank["cycles.xcall.linkpush"])
         assert phases == bank["xcall.cycles"] > 0
+
+
+def test_pmu_and_profiler_agree_on_a_refused_call():
+    """One phase probe feeds both: a re-entrant call refused with
+    XPCBusyError still charged its trampoline, and the PMU counts the
+    same trampoline cycles as the flame tree."""
+    with obs.active(obs.ObsSession(profile=True)) as session:
+        machine, kernel, svc, clients = build_world(cores=1)
+
+        def reenter(call):
+            try:
+                return xpc_call(call.core, svc.entry_id)
+            except XPCBusyError:
+                return "busy"
+        svc.handler = reenter
+        kernel.grant_xcall_cap(machine.core0, svc.server_thread.process,
+                               svc.server_thread, svc.entry_id)
+        assert xpc_call(machine.core0, svc.entry_id) == "busy"
+    flame = sum(n for path, n in session.profiler.collapsed().items()
+                if path.endswith("phase:trampoline"))
+    pmu = session.pmu.snapshot().total("cycles.trampoline")
+    calls = len(svc.contexts) + 1       # every context held, one refused
+    assert pmu == flame == calls * machine.params.trampoline_full_ctx
 
 
 def test_second_machine_banks_are_prefixed():

@@ -9,6 +9,7 @@ ring memory touched from two simulated cores with no sanctioned handoff
 
 import pytest
 
+import repro.probe as probe
 import repro.san as san
 from repro.aio.ring import XPCRing
 from repro.hw.machine import Machine
@@ -121,13 +122,19 @@ class TestPhysicalIdentity:
 
 class TestSessionPlumbing:
     def test_active_restores_the_previous_session(self):
+        # The innermost session hears the probe points; leaving its
+        # scope hands them back to the outer one, then to nobody.
+        machine, kernel, seg, ring = make_ring(cores=1)
+        core = machine.core0
         outer, inner = san.SanSession(), san.SanSession()
         with san.active(outer):
-            assert san.ACTIVE is outer
+            ring.push_sqe(core, ("op", 1), b"x", reply_capacity=8)
             with san.active(inner):
-                assert san.ACTIVE is inner
-            assert san.ACTIVE is outer
-        assert san.ACTIVE is None
+                ring.pop_sqe(core)
+            ring.push_sqe(core, ("op", 2), b"y", reply_capacity=8)
+        ring.pop_sqe(core)
+        assert (outer.accesses, inner.accesses) == (2, 1)
+        assert probe.ACCESS == () and probe.HANDOFF == ()
 
     def test_report_shape(self):
         session = san.SanSession()
@@ -183,7 +190,7 @@ class TestSeededOwnershipBug:
                           reply_capacity=8)
             # The sanctioned transfer: hand the segment over (as the
             # engine does at xcall), then drain from the other core.
-            san.ACTIVE.handoff(seg, "relay-seg", via="xcall")
+            session.handoff(seg, "relay-seg", via="xcall")
             assert ring.pop_sqe(machine.cores[1]) is not None
         assert session.issues == []
 

@@ -44,6 +44,21 @@ class TestLayeringRule:
         assert len(violations) == 1
         assert "repro.analysis" in violations[0].message
 
+    @pytest.mark.parametrize("source", [
+        "import repro.obs\n",
+        "import repro.san\n",
+        "from repro import obs\n",
+    ])
+    def test_kernel_may_not_import_an_observer(self, source):
+        violations = lint(source, "repro.kernel.kernel", LayeringRule())
+        assert len(violations) == 1
+        assert violations[0].rule == "layering"
+
+    def test_kernel_fires_probe_points(self):
+        violations = lint("import repro.probe as probe\n",
+                          "repro.kernel.kernel", LayeringRule())
+        assert violations == []
+
     def test_xpc_may_import_hw(self):
         violations = lint(
             "from repro.hw.cpu import Core\n",
@@ -66,6 +81,15 @@ class TestLayeringRule:
                           f"repro.{glue}", LayeringRule())
         assert len(violations) == 1
         assert f"repro.hw.{internal}" in violations[0].message
+
+    def test_hw_facade_reexports_no_internals(self):
+        # A re-exported class is a name, not a submodule, so the rule
+        # cannot see ``from repro.hw import TLB``; the facade must not
+        # offer it at all.
+        import repro.hw
+        assert not {"TLB", "CacheModel"} & set(repro.hw.__all__)
+        with pytest.raises(ImportError):
+            from repro.hw import TLB  # noqa: F401
 
     def test_glue_may_use_hw_public_surface(self):
         violations = lint(
