@@ -2,7 +2,7 @@
 
 The reference stack (``repro.xpc`` + ``repro.hw`` + ``repro.kernel``)
 simulates every xcall by actually walking the object graph: engine
-state machines, TLB sets, link stacks, relay segments, trap frames.
+state machines, page tables, link stacks, relay segments, trap frames.
 That fidelity is the point of the reference — and the reason fuzz
 throughput tops out around ~1100 ops/Mcycle of host time.
 

@@ -4,7 +4,8 @@ A *fault point* is a named place where the simulation asks the active
 :class:`~repro.faults.plan.FaultPlan` whether to inject a failure.  The
 catalogue is the authoritative list — :meth:`FaultPlan.arm` refuses
 unknown names so a typo'd plan fails loudly instead of silently arming
-nothing, and DESIGN.md §9 renders this table verbatim.
+nothing, and DESIGN.md §9 tables the same points and layers
+(``tests/integration/test_design_catalogues.py`` holds it to this).
 
 Points are grouped by the layer that hosts the ``fire()`` call, mirroring
 the failure modes of the paper's §4.2/§6.1 fault story plus the device
@@ -17,11 +18,6 @@ from __future__ import annotations
 
 #: name -> (layer, description).
 CATALOGUE = {
-    # -- hardware ------------------------------------------------------
-    "hw.tlb.stale_entry": (
-        "hw",
-        "a TLB entry goes stale immediately before use; the access "
-        "re-walks the page table (models invalidation races)"),
     # -- XPC engine / objects -----------------------------------------
     "xpc.engine_cache.stale_entry": (
         "xpc",

@@ -20,14 +20,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
 
 class _TagArray:
     """One level of set-associative tags with LRU replacement."""

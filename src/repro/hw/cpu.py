@@ -3,8 +3,8 @@
 A :class:`Core` executes at the level of *memory operations and control
 transfers* rather than individual instructions: kernels, servers, and
 applications in this reproduction are Python code that runs "on" a core by
-calling :meth:`mem_read`, :meth:`mem_write`, :meth:`memcpy`, and
-:meth:`trap`, each of which moves real bytes and charges calibrated cycles.
+calling :meth:`mem_read`, :meth:`mem_write`, and :meth:`trap`, each of
+which moves real bytes or changes mode and charges calibrated cycles.
 The XPC engine (``repro.xpc.engine``) hooks the translation path so that an
 active relay segment takes priority over the page table, exactly as the
 paper's seg-reg does (§3.3: "During address translation, the seg-reg has
@@ -51,7 +51,7 @@ class Core:
         self.params = params
         self.cycles = 0
         self.mode = PrivilegeMode.USER
-        self.tlb = TLB(entries=256, ways=4, tagged=tagged_tlb)
+        self.tlb = TLB(tagged=tagged_tlb)
         self.cache = CacheModel(params, shared_l2=shared_l2)
         self.csr: Dict[str, int] = {}
         self.aspace: Optional[AddressSpace] = None
@@ -97,10 +97,11 @@ class Core:
                 probe.EVENT(self, event, cost)
 
     # ------------------------------------------------------------------
-    # Translation (relay-seg window > TLB > page walk)
+    # Translation (relay-seg window > page walk)
     # ------------------------------------------------------------------
     def translate(self, va: int, access: PagePerm) -> int:
-        """Translate one VA, charging TLB/page-walk latency."""
+        """Translate one VA, charging a page walk (a TLB miss) unless
+        the relay-seg window covers it."""
         if self.xpc_engine is not None:
             seg_pa = self.xpc_engine.seg_translate(va, access)
             if seg_pa is not None:
@@ -109,14 +110,9 @@ class Core:
                 return seg_pa  # verify-ok: flow-charge
         if self.aspace is None:
             raise PageFault(va, access, "no address space installed")
-        hit = self.tlb.lookup(va, self.aspace.asid)
-        if hit is not None:
-            pa_page, perm = hit
-            self.tick(self.params.tlb_hit)
-        else:
-            pa_page, perm, levels = self.aspace.page_table.walk(va)
-            self.tick(levels * self.params.page_walk_per_level)
-            self.tlb.insert(va, self.aspace.asid, pa_page, perm)
+        self.tlb.stats.misses += 1
+        pa_page, perm, levels = self.aspace.page_table.walk(va)
+        self.tick(levels * self.params.page_walk_per_level)
         if not perm & access:
             raise PageFault(va, access, f"permission denied at {va:#x}")
         return pa_page + (va % PAGE_SIZE)
@@ -151,18 +147,6 @@ class Core:
                 self.tick(self.cache.stream_cycles(chunk - 64) // 2)
             self.mem.write(pa, data[off:off + chunk])
             off += chunk
-
-    def memcpy_user(self, dst_as: AddressSpace, dst_va: int,
-                    src_as: AddressSpace, src_va: int, n: int) -> None:
-        """Kernel-style copy between two address spaces.
-
-        This is the "twofold copy"/"copy_from_user + copy_to_user"
-        workhorse: bytes really move through physical memory and the cost
-        is the calibrated streaming copy cost.
-        """
-        data = src_as.read(src_va, n)
-        dst_as.write(dst_va, data)
-        self.tick(self.params.copy_cycles(n))
 
     # ------------------------------------------------------------------
     # Traps

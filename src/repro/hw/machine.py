@@ -62,8 +62,3 @@ class Machine:
 
     def total_cycles(self) -> int:
         return sum(core.cycles for core in self.cores)
-
-    def engine_for(self, core: Core) -> XPCEngine:
-        if not self.engines:
-            raise RuntimeError("this machine was built without XPC")
-        return self.engines[core.core_id]

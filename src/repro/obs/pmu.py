@@ -6,10 +6,11 @@ sampled with snapshot/delta/reset semantics.  This module reproduces
 that surface over the simulator:
 
 * **derived counters** are sampled straight off the hardware models at
-  snapshot time — core cycles and trap counts, TLB hit/miss/flush,
-  engine xcall/xret/swapseg/prefetch/exception counts, x-entry engine
-  cache hits and misses, relay-seg transfer/shrink/swap activity, and
-  the link-stack depth high-watermark;
+  snapshot time — core cycles and trap counts, TLB misses (page walks)
+  and flushes (``tlb.hits`` stays 0: the TLB holds no entries), engine
+  xcall/xret/swapseg/prefetch/exception counts, x-entry engine cache
+  hits and misses, relay-seg transfer/shrink/swap activity, and the
+  link-stack depth high-watermark;
 * **event counters** arrive through the ``event`` and ``phase`` probe
   points (:meth:`PMU.add`) — most importantly the cycles-by-phase
   breakdown of Figure 5 (``cycles.xcall.captest`` +

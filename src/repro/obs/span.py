@@ -152,12 +152,11 @@ class SpanTracer:
         self._finish(span)
         if self.profiler is not None:
             self.profiler.pop(core.core_id, span_id=span.span_id)
-        self.current = None
-        for frames in self._open.values():
-            for open_span in frames:
-                if (self.current is None
-                        or open_span.span_id > self.current.span_id):
-                    self.current = open_span
+        # Span ids grow up each core's stack, so the newest open span
+        # is the newest stack top.
+        self.current = max((frames[-1] for frames in self._open.values()
+                            if frames),
+                           key=lambda top: top.span_id, default=None)
         return span
 
     def _finish(self, span: Span) -> None:

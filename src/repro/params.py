@@ -37,8 +37,11 @@ class CycleParams:
     dram_access: int = 80           # DRAM access latency
     cache_line_bytes: int = 64
     page_walk_per_level: int = 25   # one memory access per radix level
-    tlb_hit: int = 0                # folded into the pipeline
-    tlb_flush: int = 40             # paper Fig.5: TLB flush/miss penalty ~40
+    # The untagged-TLB switch penalty (paper §5.2: RocketChip has no
+    # tagged TLB, so every address-space switch flushes).  40 is the
+    # paper's Fig. 5 "+Tagged TLB" step (89 -> 49): the whole flush and
+    # refill cost, charged once per switch rather than per refill.
+    tlb_flush: int = 40
     asid_switch: int = 0            # tagged-TLB switch (free in Fig. 5)
 
     # Bulk data movement (load+store streaming through the cache).

@@ -578,15 +578,15 @@ class BatchedExecutor(_ExecutorBase):
 class FaultingExecutor:
     """Run an inner executor with recovery-transparent faults armed.
 
-    Every armed point is *recovery-transparent*: TLB staleness, engine
-    cache staleness, link-stack overflow spills, timer preemptions, and
-    stale ring-head re-reads cost cycles but change no observable
-    outcome — so the oracle's expectations still hold verbatim (the SFP
-    argument: call-flow integrity must survive injected faults).
+    Every armed point is *recovery-transparent*: engine cache
+    staleness, link-stack overflow spills, timer preemptions, and stale
+    ring-head re-reads cost cycles but change no observable outcome —
+    so the oracle's expectations still hold verbatim (the SFP argument:
+    call-flow integrity must survive injected faults).  No TLB fault is
+    armed: the TLB holds no entries that could go stale.
     """
 
     TRANSPARENT_POINTS = (
-        ("hw.tlb.stale_entry", 0.05),
         ("xpc.engine_cache.stale_entry", 0.05),
         ("xpc.linkstack.overflow", 0.02),
         ("kernel.preempt", 0.02),

@@ -52,7 +52,6 @@ def fs_plan(seed: int) -> FaultPlan:
     errors the op or is transparently recovered — never silent."""
     return (FaultPlan(seed)
             .arm("blockdev.io_error", probability=0.03, times=None)
-            .arm("hw.tlb.stale_entry", probability=0.002, times=None)
             .arm("xpc.engine_cache.stale_entry", probability=0.05,
                  times=None)
             .arm("xpc.linkstack.overflow", probability=0.004, times=None)
@@ -64,7 +63,6 @@ def net_plan(seed: int) -> FaultPlan:
     return (FaultPlan(seed)
             .arm("net.drop", probability=0.05, times=None)
             .arm("net.corrupt", probability=0.05, times=None, byte=9)
-            .arm("hw.tlb.stale_entry", probability=0.002, times=None)
             .arm("kernel.preempt", probability=0.01, times=None))
 
 

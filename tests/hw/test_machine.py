@@ -25,13 +25,7 @@ def test_machine_without_xpc():
     machine = Machine(cores=2, mem_bytes=64 * 1024 * 1024, xpc=False)
     assert machine.engines == []
     assert machine.xentry_table is None
-    with pytest.raises(RuntimeError):
-        machine.engine_for(machine.core0)
-
-
-def test_engine_for():
-    machine = Machine(cores=2, mem_bytes=64 * 1024 * 1024)
-    assert machine.engine_for(machine.cores[1]) is machine.engines[1]
+    assert all(core.xpc_engine is None for core in machine.cores)
 
 
 def test_shared_l2_between_cores():

@@ -18,8 +18,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", ".."))
 
@@ -106,7 +104,6 @@ def _run_under_hash_seed(hash_seed: str) -> str:
     return "\n".join(lines)
 
 
-@pytest.mark.slow
 def test_cycle_totals_and_traces_survive_hash_randomization():
     baseline = _run_under_hash_seed("0")
     assert baseline == _run_under_hash_seed("12345")

@@ -2,7 +2,7 @@
 
 For every point in :data:`repro.faults.points.CATALOGUE` we build a
 world where the point actually fires (fig5 xcall traffic for the
-hw/xpc/kernel points, the fig7 service chains for the device points, a
+xpc/kernel points, the fig7 service chains for the device points, a
 ring-drain worker pool for the aio points, a two-node sharded KV
 fabric for the cluster points), arm it deterministically (``nth=1``),
 and assert the full snapshot story:
@@ -27,7 +27,6 @@ from repro.cluster import Cluster, KVShard, LoadGenerator
 from repro.faults import FaultPlan
 from repro.faults.points import CATALOGUE
 from repro.hw.machine import Machine
-from repro.hw.paging import AddressSpace
 from repro.ipc.xpc_transport import XPCTransport
 from repro.kernel.kernel import BaseKernel
 from repro.services.fs import build_fs_stack
@@ -119,33 +118,6 @@ def _fig5_cached():
     return world, [Guarded(op) for op in ops]
 
 
-# -- the TLB world: paged loads outside any relay-seg window ----------
-
-class TlbTouch:
-    """One timed load through the paged path (seg windows bypass the
-    TLB, so this is the only traffic that reaches the fault site)."""
-
-    def __init__(self, va: int) -> None:
-        self.va = va
-
-    def __call__(self, world):
-        data = world.core.mem_read(self.va, 64)
-        return ("load", self.va, len(data))
-
-
-def _tlb_world():
-    machine = Machine(cores=1, mem_bytes=16 * 1024 * 1024)
-    core = machine.core0
-    aspace = AddressSpace(machine.memory)
-    vas = [aspace.mmap(4096) for _ in range(3)]
-    core.set_address_space(aspace, charge=False)
-    world = SimWorld(machine=machine, core=core, aspace=aspace)
-    # Repeat accesses so the injected eviction hits a warm entry and
-    # forces a deterministic re-walk.
-    ops = [Guarded(TlbTouch(va)) for va in vas * 3]
-    return world, ops
-
-
 def _fig7_guarded():
     world, ops = fig7_world(disk_blocks=256)
     return world, [Guarded(op) for op in ops]
@@ -183,7 +155,6 @@ def _cluster_world():
 
 #: point -> (world builder, extra action kwargs for arm()).
 POINTS = {
-    "hw.tlb.stale_entry": (_tlb_world, {}),
     "xpc.engine_cache.stale_entry": (_fig5_cached, {}),
     "xpc.linkstack.overflow": (_fig5_guarded, {}),
     "xpc.callee_crash": (_fig5_guarded, {}),
